@@ -35,24 +35,19 @@ def test_full_system_golden_run():
     behavioural change.  If this fails and the change was intentional,
     update the pinned values here deliberately."""
     cfg = GPUConfig.scaled(4, warps_per_core=4)
-    system = GPGPUSystem(cfg, scheme("xy-baseline"), benchmark("bfs"), seed=7)
-    system.prewarm_caches()
-    system.run(250)
-    instructions = sum(c.stats.instructions for c in system.cores)
-    delivered = (
-        system.request_net.stats.packets_delivered
-        + system.reply_net.stats.packets_delivered
-    )
-    # Re-run to confirm the pin reflects determinism, not luck.
-    system2 = GPGPUSystem(cfg, scheme("xy-baseline"), benchmark("bfs"), seed=7)
-    system2.prewarm_caches()
-    system2.run(250)
-    assert instructions == sum(c.stats.instructions for c in system2.cores)
-    assert delivered == (
-        system2.request_net.stats.packets_delivered
-        + system2.reply_net.stats.packets_delivered
-    )
-    assert instructions > 0 and delivered > 0
+    for kernel in ("reference", "activity"):
+        system = GPGPUSystem(
+            cfg, scheme("xy-baseline"), benchmark("bfs"), seed=7,
+            kernel=kernel,
+        )
+        system.prewarm_caches()
+        system.run(250)
+        instructions = sum(c.stats.instructions for c in system.cores)
+        delivered = (
+            system.request_net.stats.packets_delivered
+            + system.reply_net.stats.packets_delivered
+        )
+        assert (instructions, delivered) == (269, 282), kernel
 
 
 def test_workload_stream_golden():
