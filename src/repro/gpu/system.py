@@ -65,8 +65,8 @@ class GPGPUSystem:
         self.scheme = scheme
         self.profile = profile
         self.seed = seed
-        # Simulation kernel backend: forwarded to both NoCs, and selects
-        # the activity-gated core stepping (see repro.noc.kernel).
+        # Simulation kernel backend, forwarded to both NoCs (see
+        # repro.noc.kernel).
         self.kernel_name = resolve_kernel(kernel)
         num_vcs = num_vcs if num_vcs is not None else config.num_vcs
         ni_flits = (
@@ -189,7 +189,6 @@ class GPGPUSystem:
         self.reply_net.on_delivery = self._on_reply_delivery
 
         self._core_clock_acc = 0.0
-        self._fast_cores = self.kernel_name == "activity"
         self.now = 0
         # Opt-in periodic sampling (repro.telemetry); None = untracked hot
         # path, a single comparison per cycle.
@@ -269,16 +268,10 @@ class GPGPUSystem:
     def step(self) -> None:
         now = self.now
         self._core_clock_acc += self.config.core_clock_ratio
-        if self._fast_cores:
-            while self._core_clock_acc >= 1.0:
-                self._core_clock_acc -= 1.0
-                for core in self.cores:
-                    core.step_core_cycle_fast(now)
-        else:
-            while self._core_clock_acc >= 1.0:
-                self._core_clock_acc -= 1.0
-                for core in self.cores:
-                    core.step_core_cycle(now)
+        while self._core_clock_acc >= 1.0:
+            self._core_clock_acc -= 1.0
+            for core in self.cores:
+                core.step_core_cycle(now)
         self._drain_core_requests()
         for mc in self.mcs:
             mc.step(now)

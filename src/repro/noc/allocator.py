@@ -1,9 +1,9 @@
-"""Separable input-first allocators with priority-aware arbitration.
+"""Separable input-first switch allocation with priority-aware arbitration.
 
 The paper's configuration (Table I) uses a separable input-first allocator.
 Two pieces are provided:
 
-* :class:`RoundRobinArbiter` — a classic rotating-priority arbiter used for
+* :class:`RoundRobinArbiter` — a rotating-priority arbiter used for
   fairness among equal-priority requesters.
 * :class:`SwitchAllocator` — the two-stage separable allocation:
 
@@ -20,7 +20,7 @@ Two pieces are provided:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 
 class RoundRobinArbiter:
@@ -34,17 +34,6 @@ class RoundRobinArbiter:
         self.size = size
         self._next = 0
 
-    def grant(self, requests: Sequence[bool]) -> Optional[int]:
-        """Grant one of the asserted requests, rotating after each grant."""
-        if len(requests) != self.size:
-            raise ValueError("request vector size mismatch")
-        for off in range(self.size):
-            idx = (self._next + off) % self.size
-            if requests[idx]:
-                self._next = (idx + 1) % self.size
-                return idx
-        return None
-
     def grant_prioritized(
         self, requests: Sequence[Optional[int]]
     ) -> Optional[int]:
@@ -54,39 +43,23 @@ class RoundRobinArbiter:
         priority (higher wins).  Ties break round-robin from the arbiter
         pointer; the pointer only advances past the granted requester.
         """
-        if len(requests) != self.size:
+        size = self.size
+        if len(requests) != size:
             raise ValueError("request vector size mismatch")
+        start = self._next
         best_idx: Optional[int] = None
         best_prio = -1
-        for off in range(self.size):
-            idx = (self._next + off) % self.size
+        for off in range(size):
+            idx = start + off
+            if idx >= size:
+                idx -= size
             prio = requests[idx]
-            if prio is None:
-                continue
-            if prio > best_prio:
+            if prio is not None and prio > best_prio:
                 best_prio = prio
                 best_idx = idx
         if best_idx is not None:
-            self._next = (best_idx + 1) % self.size
+            self._next = best_idx + 1 if best_idx + 1 < size else 0
         return best_idx
-
-
-class Bid:
-    """One switch-allocation request from (input port, VC) to an output."""
-
-    __slots__ = ("in_port", "vc", "out_port", "priority")
-
-    def __init__(self, in_port: int, vc: int, out_port: int, priority: int) -> None:
-        self.in_port = in_port
-        self.vc = vc
-        self.out_port = out_port
-        self.priority = priority
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"Bid(p{self.in_port}.vc{self.vc} -> out{self.out_port}, "
-            f"prio={self.priority})"
-        )
 
 
 class SwitchAllocator:
@@ -104,6 +77,8 @@ class SwitchAllocator:
         port's entry.
     """
 
+    __slots__ = ("num_vcs", "speedups", "input_arbiters", "output_arbiters")
+
     def __init__(
         self,
         num_in: int,
@@ -111,76 +86,87 @@ class SwitchAllocator:
         num_vcs: int,
         speedups: Optional[Dict[int, int]] = None,
     ) -> None:
-        self.num_in = num_in
-        self.num_out = num_out
+        speedups = speedups or {}
         self.num_vcs = num_vcs
-        self.speedups = dict(speedups or {})
-        self._input_arbiters = [RoundRobinArbiter(num_vcs) for _ in range(num_in)]
-        self._output_arbiters = [RoundRobinArbiter(num_in) for _ in range(num_out)]
+        self.speedups = [speedups.get(p, 1) for p in range(num_in)]
+        self.input_arbiters = [RoundRobinArbiter(num_vcs) for _ in range(num_in)]
+        self.output_arbiters = [RoundRobinArbiter(num_in) for _ in range(num_out)]
 
-    def speedup_of(self, in_port: int) -> int:
-        return self.speedups.get(in_port, 1)
+    def grants(
+        self,
+        bid_ports: Sequence[int],
+        port_bids: Sequence[Optional[List[Tuple[int, int, int]]]],
+    ) -> List[Tuple[int, int]]:
+        """Resolve one cycle of switch allocation.
 
-    # ------------------------------------------------------------------
-    def allocate(self, bids: Iterable[Bid]) -> List[Bid]:
-        """Resolve one cycle of switch allocation; returns the winning bids.
+        ``bid_ports`` lists the inputs that bid; ``port_bids[p]`` holds
+        input ``p``'s bids as ``(vc, out_port, priority)`` tuples, at most
+        one per VC (a VC has one front flit).  Returns the winning
+        ``(in_port, vc)`` pairs.  Guarantees:
 
-        Guarantees:
         * each input port wins at most ``speedup`` grants, on distinct
           output ports;
         * each output port grants at most one input;
-        * higher :attr:`Bid.priority` wins at both stages, ties round-robin.
-        """
-        by_input: Dict[int, List[Bid]] = {}
-        for bid in bids:
-            if not (0 <= bid.in_port < self.num_in):
-                raise ValueError(f"bad input port {bid.in_port}")
-            if not (0 <= bid.out_port < self.num_out):
-                raise ValueError(f"bad output port {bid.out_port}")
-            by_input.setdefault(bid.in_port, []).append(bid)
+        * higher priority wins at both stages, ties round-robin.
 
-        # -- stage 1: input selection ---------------------------------
-        stage1: List[Bid] = []
-        for in_port, port_bids in by_input.items():
-            budget = self.speedup_of(in_port)
-            arb = self._input_arbiters[in_port]
-            chosen_outs: set = set()
-            remaining = list(port_bids)
-            for _ in range(budget):
-                # Build a per-VC request vector (highest-priority bid per VC).
-                vec: List[Optional[int]] = [None] * self.num_vcs
-                vc_bid: Dict[int, Bid] = {}
-                for b in remaining:
-                    if b.out_port in chosen_outs:
+        Each input and each output is resolved independently, so the order
+        of ``bid_ports`` cannot change any grant.
+        """
+        in_arbs = self.input_arbiters
+        nvc = self.num_vcs
+
+        # -- stage 1: input selection -------------------------------------
+        stage1 = []
+        for p in bid_ports:
+            blist = port_bids[p]
+            if len(blist) == 1:
+                # A sole requester wins its first round outright; later
+                # budget rounds would see no request and leave the pointer.
+                v, o, pr = blist[0]
+                in_arbs[p]._next = v + 1 if v + 1 < nvc else 0
+                stage1.append((p, v, o, pr))
+                continue
+            arb = in_arbs[p]
+            chosen_outs = 0  # bitmask of outputs this input already won
+            remaining = blist
+            for _ in range(self.speedups[p]):
+                vec: List[Optional[int]] = [None] * nvc
+                vc_bid = [None] * nvc
+                for bid in remaining:
+                    if (chosen_outs >> bid[1]) & 1:
                         continue
-                    cur = vec[b.vc]
-                    if cur is None or b.priority > cur:
-                        vec[b.vc] = b.priority
-                        vc_bid[b.vc] = b
+                    vec[bid[0]] = bid[2]
+                    vc_bid[bid[0]] = bid
                 win_vc = arb.grant_prioritized(vec)
                 if win_vc is None:
                     break
-                winner = vc_bid[win_vc]
-                stage1.append(winner)
-                chosen_outs.add(winner.out_port)
-                remaining = [b for b in remaining if b.vc != win_vc]
+                v, o, pr = vc_bid[win_vc]
+                stage1.append((p, v, o, pr))
+                chosen_outs |= 1 << o
+                remaining = [bid for bid in remaining if bid[0] != win_vc]
 
-        # -- stage 2: output arbitration -------------------------------
-        by_output: Dict[int, List[Bid]] = {}
+        # -- stage 2: output arbitration ----------------------------------
+        by_out: Dict[int, list] = {}
         for bid in stage1:
-            by_output.setdefault(bid.out_port, []).append(bid)
-
-        winners: List[Bid] = []
-        for out_port, port_bids in by_output.items():
-            arb = self._output_arbiters[out_port]
-            vec: List[Optional[int]] = [None] * self.num_in
-            in_bid: Dict[int, Bid] = {}
-            for b in port_bids:
-                cur = vec[b.in_port]
-                if cur is None or b.priority > cur:
-                    vec[b.in_port] = b.priority
-                    in_bid[b.in_port] = b
-            win_in = arb.grant_prioritized(vec)
-            if win_in is not None:
-                winners.append(in_bid[win_in])
+            group = by_out.get(bid[2])
+            if group is None:
+                by_out[bid[2]] = [bid]
+            else:
+                group.append(bid)
+        out_arbs = self.output_arbiters
+        winners = []
+        for o, group in by_out.items():
+            arb = out_arbs[o]
+            if len(group) == 1:
+                p, v, _o, _pr = group[0]
+                arb._next = p + 1 if p + 1 < arb.size else 0
+                winners.append((p, v))
+                continue
+            vec = [None] * arb.size
+            in_vc = [0] * arb.size
+            for p, v, _o, pr in group:
+                vec[p] = pr
+                in_vc[p] = v
+            p = arb.grant_prioritized(vec)
+            winners.append((p, in_vc[p]))
         return winners

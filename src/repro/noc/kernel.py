@@ -1,12 +1,14 @@
 """Simulation kernels: pluggable per-cycle advance loops for :class:`Network`.
 
 A :class:`SimKernel` owns the order in which a network's components are
-visited each cycle.  Two backends ship:
+visited each cycle.  Both backends advance each component through the
+same code — :meth:`Router.step <repro.noc.router.Router.step>`, the NI's
+``step`` and the ejectors — and differ only in *scheduling*:
 
 :class:`ReferenceKernel`
-    The oracle.  Visits every NI, router and ejection link every cycle, in
-    index order — exactly the historical ``Network.step()`` loop.  All
-    results (stats, telemetry, invariants) are defined by this kernel.
+    The scheduling oracle.  Visits every NI, router and ejection link
+    every cycle, in index order.  All results (stats, telemetry,
+    invariants) are defined by this kernel.
 
 :class:`ActivityKernel`
     Byte-identical results, less work.  Only *active* components are
@@ -314,7 +316,7 @@ class ActivityKernel(SimKernel):
                 # A router outside the due set provably has no flit or
                 # credit landing this cycle (unit latency: every cause one
                 # cycle earlier scheduled a wakeup), so skip ingest.
-                m = router.step_fast(now, not unit or r in due)
+                m = router.step(now, not unit or r in due)
                 if router._occ:
                     if m == 0 and router._stall_ok:
                         # Proven stall: nothing can move until a wakeup.
@@ -324,7 +326,7 @@ class ActivityKernel(SimKernel):
                         # sleeper from the mover's branch below.
                         stalled[r] = now
                         live.discard(r)
-                        for q, _c in router._fast_wiring[0]:
+                        for q, _c in router._wiring[0]:
                             for entry in q:
                                 tq = entry[0]
                                 if tq == nxt:

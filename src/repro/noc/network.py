@@ -246,7 +246,7 @@ class Network:
         self, router: Router, port: int, links: List[Link]
     ) -> None:
         """SplitNI: several narrow links terminate on one injection port."""
-        # Router._ingest walks input_links[port]; store a composite.
+        # Router.step ingests from input_links[port]; store a composite.
         router.input_links[port] = _CompositeLink(links)
         router.credit_out[port] = None
 

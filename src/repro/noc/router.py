@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.noc.allocator import Bid, SwitchAllocator
+from repro.noc.allocator import SwitchAllocator
 from repro.noc.buffer import InputPort, VCState, VirtualChannel
 from repro.noc.credit import CreditChannel, CreditCounter
 from repro.noc.link import Link
@@ -35,8 +35,9 @@ from repro.noc.routing import (
 
 # Sentinel "packet id" used by repro.faults to pin a dead output VC's writer
 # lock: with ``writer[vc] = FAULT_PID`` and ``writer_left[vc] = 1`` the VC
-# fails ``vc_claimable`` through the ordinary WPF path (no extra hot-path
-# check) while still satisfying the writer-lock invariant (locked => left>0).
+# fails the ordinary WPF claim check in ``Router._try_allocate`` (no extra
+# hot-path check) while still satisfying the writer-lock invariant
+# (locked => left>0).
 FAULT_PID = -1
 
 
@@ -62,25 +63,11 @@ class OutputPort:
         self.writer: List[Optional[int]] = [None] * num_vcs
         self.writer_left: List[int] = [0] * num_vcs
 
-    def vc_claimable(self, vc: int, size: int) -> bool:
-        if self.writer[vc] is not None:
-            return False
-        if self.credits is not None and self.credits.free_space(vc) < size:
-            return False
-        return True
-
     def claim(self, vc: int, pid: int, size: int) -> None:
         if self.writer[vc] is not None:
             raise RuntimeError(f"output vc {vc} already claimed")
         self.writer[vc] = pid
         self.writer_left[vc] = size
-
-    def record_send(self, vc: int, pid: int) -> None:
-        if self.writer[vc] != pid:
-            raise RuntimeError("flit sent into a VC claimed by another packet")
-        self.writer_left[vc] -= 1
-        if self.writer_left[vc] == 0:
-            self.writer[vc] = None
 
     def free_credit_total(self) -> int:
         """Congestion score used by adaptive routing (bigger = freer)."""
@@ -146,13 +133,13 @@ class Router:
         # VA fairness rotation.
         self._va_rr = 0
 
-        # Prefer adaptive VCs, escape VC 0 last (shared by both pipelines).
+        # Prefer adaptive VCs, escape VC 0 last.
         self._vc_order = tuple(range(1, num_vcs)) + (0,)
-        # Wiring tables for step_fast(); built lazily once links exist.
-        # Activity-kernel bookkeeping, invisible to the reference
-        # pipeline by design.  # kernel: private(Router._fast_wiring, Router._stall_ok)
-        self._fast_wiring = None
-        # Set by step_fast() on a zero-move cycle: True when every blocked
+        # Wiring tables for step(), built lazily once links exist, and the
+        # stall marker below: derived state and activity-kernel
+        # bookkeeping, not simulated state.  # kernel: private(Router._wiring, Router._stall_ok)
+        self._wiring = None
+        # Set by step() on a zero-move cycle: True when every blocked
         # resource unblocks only through events the activity kernel already
         # schedules wakeups for (flit arrivals, credit returns), so the
         # kernel may skip this router until the next wakeup.  A closed
@@ -215,166 +202,12 @@ class Router:
     def occupancy(self) -> int:
         return self._occ
 
-    def _ingest(self, now: int) -> None:
-        """Pull arriving flits off input links into their target VCs."""
-        for port_idx, link in enumerate(self.input_links):
-            if link is None:
-                continue
-            for flit in link.arrivals(now):
-                vc = flit.out_vc
-                if vc is None:
-                    raise RuntimeError("arriving flit has no VC assignment")
-                port = self.input_ports[port_idx]
-                if flit.is_head:
-                    if not port.is_injection:
-                        # ARI priority decay: one level per route computation
-                        # (i.e., per router entered after injection).
-                        pkt = flit.packet
-                        if pkt.priority > 0:
-                            pkt.priority -= 1
-                            self.priority_decays += 1
-                    if flit.packet.injected_at is None:
-                        flit.packet.injected_at = now
-                    if self.on_hop is not None:
-                        self.on_hop(self.router_id, flit.packet, now)
-                # Reset transient routing state; it belongs to this router now.
-                flit.out_port = None
-                flit.out_vc = None
-                port.vcs[vc].push(flit, now)
-                port.occ += 1
-                self._occ += 1
-
-    def _deliver_credits(self, now: int) -> None:
-        for out in self.output_ports:
-            if out is None or out.credit_in is None or out.credits is None:
-                continue
-            for vc in out.credit_in.deliver(now):
-                out.credits.restore(vc)
-
-    # -- route computation + VC allocation ----------------------------------
-    def _route_and_allocate(self, now: int) -> None:
-        dest_coords = self._dest_coords
-        n_in = self.num_inputs
-        start = self._va_rr
-        self._va_rr = (self._va_rr + 1) % n_in
-        for off in range(n_in):
-            port = self.input_ports[(start + off) % n_in]
-            if port.occ == 0:
-                continue
-            for vc in port.vcs:
-                if vc.state != VCState.ROUTING:
-                    continue
-                head = vc.fifo[0]
-                pkt = head.packet
-                if vc.candidates is None:
-                    dc = dest_coords(pkt.dest)
-                    vc.candidates = self.routing.candidates(self.coords, dc)
-                    vc.escape = self.routing.escape_port(self.coords, dc)
-                self._try_allocate(vc, pkt)
-
-    def _try_allocate(self, vc: VirtualChannel, pkt) -> bool:
-        candidates = vc.candidates or []
-        if self.routing.adaptive and len(candidates) > 1:
-            candidates = sorted(
-                candidates,
-                key=lambda p: -(self.output_ports[p].free_credit_total()
-                                if self.output_ports[p] is not None else -1),
-            )
-        escape = vc.escape if vc.escape is not None else LOCAL
-        for out_port in candidates:
-            out = self.output_ports[out_port]
-            if out is None:
-                continue
-            if out_port == LOCAL:
-                # Ejection: claim any free writer slot (infinite credits).
-                for dvc in range(self.num_vcs):
-                    if out.writer[dvc] is None:
-                        self._commit_allocation(vc, out, out_port, dvc, pkt)
-                        return True
-                continue
-            # Prefer adaptive VCs (leave the escape VC as a fallback).
-            for dvc in self._vc_order:
-                if not self.routing.vc_allowed(dvc, out_port, escape):
-                    continue
-                if not out.vc_claimable(dvc, pkt.size):
-                    continue
-                self._commit_allocation(vc, out, out_port, dvc, pkt)
-                return True
-        return False
-
     def _commit_allocation(
         self, vc: VirtualChannel, out: OutputPort, out_port: int, dvc: int, pkt
     ) -> None:
         vc.set_route(out_port)
         vc.set_out_vc(dvc)
         out.claim(dvc, pkt.pid, pkt.size)
-
-    # -- switch allocation / traversal ----------------------------------------
-    def _collect_bids(self, now: int) -> List[Bid]:
-        bids: List[Bid] = []
-        demote_injection = False
-        if self.priority_enabled and self.starvation_threshold > 0:
-            for port in self.input_ports:
-                if port.is_injection:
-                    continue
-                if port.oldest_wait(now) > self.starvation_threshold:
-                    demote_injection = True
-                    break
-        ejection_open = self.ejection_gate is None or self.ejection_gate()
-        for port in self.input_ports:
-            if port.occ == 0:
-                continue
-            for vc in port.vcs:
-                if vc.state != VCState.ACTIVE or not vc.fifo:
-                    continue
-                out_port = vc.out_port
-                if out_port is None:
-                    continue
-                if out_port == LOCAL and not ejection_open:
-                    continue
-                prio = vc.fifo[0].packet.priority if self.priority_enabled else 0
-                if demote_injection and port.is_injection:
-                    prio = 0
-                    self.starvation_demotions += 1
-                bids.append(Bid(port.port_id, vc.index, out_port, prio))
-        return bids
-
-    def _traverse(self, winners: List[Bid], now: int) -> int:
-        moved = 0
-        injected = 0
-        for bid in winners:
-            port = self.input_ports[bid.in_port]
-            vc = port.vcs[bid.vc]
-            out_port = vc.out_port
-            out_vc = vc.out_vc
-            out = self.output_ports[out_port]
-            flit = vc.front()
-            if flit is None or out is None or out_vc is None:
-                raise RuntimeError("switch grant for an empty VC")
-            flit.out_port = out_port
-            flit.out_vc = out_vc
-            vc.pop(now)
-            port.occ -= 1
-            self._occ -= 1
-            if out.credits is not None:
-                out.credits.consume(out_vc)
-            out.record_send(out_vc, flit.packet.pid)
-            out.link.send(flit, now)
-            # Return the freed buffer slot upstream.
-            if port.is_injection:
-                if self.ni is not None:
-                    self.ni.on_credit(port.port_id, bid.vc)
-                self.flits_injected += 1
-                injected += 1
-            else:
-                ch = self.credit_out[bid.in_port]
-                if ch is not None:
-                    ch.send(bid.vc, now)
-            moved += 1
-        if injected > 1:
-            self.speedup_extra_flits += injected - 1
-        self.flits_switched += moved
-        return moved
 
     # -- fault support ----------------------------------------------------------
     def purge_front_packet(self, port_id: int, vc_index: int, now: int):
@@ -408,7 +241,7 @@ class Router:
             vc.fifo.popleft()
         port.occ -= pkt.size
         self._occ -= pkt.size
-        # Per-flit credit return mirrors _traverse().
+        # Per-flit credit return mirrors switch traversal in step().
         if port.is_injection:
             if self.ni is not None:
                 for _ in range(pkt.size):
@@ -431,23 +264,9 @@ class Router:
             vc._on_new_front(now)
         return pkt
 
-    # -- main step --------------------------------------------------------------
-    def step(self, now: int) -> int:
-        """Advance the router one cycle; returns flits switched."""
-        self._deliver_credits(now)
-        self._ingest(now)
-        if self._occ == 0:
-            return 0
-        self._route_and_allocate(now)
-        bids = self._collect_bids(now)
-        if not bids:
-            return 0
-        winners = self.allocator.allocate(bids)
-        return self._traverse(winners, now)
-
-    # -- fast pipeline (ActivityKernel) -----------------------------------------
-    def _build_fast_wiring(self):
-        """Precompute the wiring tables :meth:`step_fast` iterates.
+    # -- the pipeline -------------------------------------------------------------
+    def _build_wiring(self):
+        """Precompute the wiring tables :meth:`step` iterates.
 
         ``credited``: (in-flight deque, credit counter) pairs for output
         ports with a credit-return channel.
@@ -455,9 +274,6 @@ class Router:
         pipe deque is captured for plain links so empty links cost one
         bounds check instead of an ``arrivals()`` call (composite SplitNI
         bundles keep ``pipe=None`` and go through ``arrivals``).
-        ``vc_rule``: 0 = every VC legal (XY), 1 = escape-VC-0 rule
-        (minimal adaptive), 2 = ask ``routing.vc_allowed`` (anything
-        else, e.g. fault-detour wrappers).
         """
         credited = tuple(
             (out.credit_in._in_flight, out.credits)
@@ -466,52 +282,32 @@ class Router:
             and out.credit_in is not None
             and out.credits is not None
         )
-        inputs = []
-        for idx, link in enumerate(self.input_links):
-            if link is None:
-                continue
-            inputs.append(
-                (self.input_ports[idx], link, getattr(link, "_pipe", None))
-            )
-        rt = type(self.routing)
-        if rt is XYRouting:
-            vc_rule = 0
-        elif rt is MinimalAdaptiveRouting:
-            vc_rule = 1
-        else:
-            vc_rule = 2
-        alloc = self.allocator
-        wiring = (
-            credited,
-            tuple(inputs),
-            vc_rule,
-            alloc._input_arbiters,
-            alloc._output_arbiters,
+        inputs = tuple(
+            (self.input_ports[idx], link, getattr(link, "_pipe", None))
+            for idx, link in enumerate(self.input_links)
+            if link is not None
         )
-        self._fast_wiring = wiring
-        return wiring
+        self._wiring = (credited, inputs)
+        return self._wiring
 
-    def step_fast(self, now: int, ingest: bool = True) -> int:
-        """Byte-identical fast equivalent of :meth:`step`.
+    def step(self, now: int, ingest: bool = True) -> int:
+        """Advance the router one cycle; returns flits switched.
 
-        Same state evolution, arbitration outcomes and statistics as the
-        reference pipeline, with the Python-level overhead stripped:
-        precomputed wiring tables, inlined credit delivery and flit
-        ingestion, and conflict-free switch allocation resolved without
-        arbiter scans (the round-robin pointers are updated exactly as
-        the arbiters would have).  Only the activity kernel calls this;
-        the reference kernel keeps the readable pipeline above and the
-        kernel-equivalence suite pins the two together.
+        Stages, in order: credit delivery and flit ingestion, route
+        computation + VC allocation + bid collection in one rotated sweep,
+        starvation demotion, separable switch allocation, and switch
+        traversal.  ``ingest=False`` skips the first stage; the activity
+        kernel passes it only when no flit or credit can land this cycle.
         """
-        wiring = self._fast_wiring
+        wiring = self._wiring
         if wiring is None:
-            wiring = self._build_fast_wiring()
-        credited, inputs, vc_rule, in_arbs, out_arbs = wiring
+            wiring = self._build_wiring()
+        credited, inputs = wiring
         routing_state = VCState.ROUTING
         active_state = VCState.ACTIVE
 
         if ingest:
-            # -- credit delivery (matches _deliver_credits) ---------------
+            # -- credit delivery -------------------------------------------
             for q, credits in credited:
                 if q and q[0][0] <= now:
                     counts = credits.counts
@@ -523,7 +319,7 @@ class Router:
                         counts[v] += 1
                         credits.total += 1
 
-            # -- ingest (matches _ingest) ---------------------------------
+            # -- ingest ----------------------------------------------------
             occ_add = 0
             on_hop = self.on_hop
             for port, link, pipe in inputs:
@@ -548,6 +344,8 @@ class Router:
                         )
                     if flit.is_head:
                         pkt = flit.packet
+                        # ARI priority decay: one level per route
+                        # computation (per router entered after injection).
                         if not is_inj and pkt.priority > 0:
                             pkt.priority -= 1
                             self.priority_decays += 1
@@ -555,6 +353,8 @@ class Router:
                             pkt.injected_at = now
                         if on_hop is not None:
                             on_hop(self.router_id, pkt, now)
+                    # Reset transient routing state; it belongs to this
+                    # router now.
                     flit.out_port = None
                     flit.out_vc = None
                     # Inlined VirtualChannel.push (same transitions/raises).
@@ -589,15 +389,10 @@ class Router:
         if self._occ == 0:
             return 0
 
-        # -- route + VC allocation + bid collection, one rotated pass ------
-        # The reference pipeline makes two sweeps (rotation-ordered routing,
-        # then index-ordered bid collection).  One rotated sweep produces
-        # the same outcome: allocation order is preserved exactly, a VC
-        # allocated this cycle is ACTIVE by the time its bid is taken (the
-        # single-cycle router bids newly-routed VCs immediately in both
-        # pipelines), and the separable allocator resolves each input and
-        # each output independently, so the order bids are *listed* in
-        # cannot change any grant.
+        # -- route + VC allocation + bid collection, one rotated sweep -----
+        # Inputs are visited from the VA round-robin pointer.  A VC that
+        # wins VC allocation is ACTIVE with its head at the front, so it
+        # bids in the same cycle (single-cycle router).
         ports = self.input_ports
         n_in = self.num_inputs
         start = self._va_rr
@@ -605,6 +400,15 @@ class Router:
         self._va_rr = nxt if nxt < n_in else 0
         dest_coords = self._dest_coords
         routing = self.routing
+        # Derived from the current routing on every cycle: fault injection
+        # may swap in a detour wrapper after the router has stepped.
+        rt = type(routing)
+        if rt is XYRouting:
+            vc_rule = 0
+        elif rt is MinimalAdaptiveRouting:
+            vc_rule = 1
+        else:
+            vc_rule = 2
         coords = self.coords
         prio_on = self.priority_enabled
         gate = self.ejection_gate
@@ -628,9 +432,8 @@ class Router:
                         dc = dest_coords(pkt.dest)
                         vcobj.candidates = routing.candidates(coords, dc)
                         vcobj.escape = routing.escape_port(coords, dc)
-                    if not self._try_allocate_fast(vcobj, pkt, vc_rule):
+                    if not self._try_allocate(vcobj, pkt, vc_rule):
                         continue
-                    # Allocated this cycle => ACTIVE with a head flit: bid.
                 elif st is not active_state or not vcobj.fifo:
                     continue
                 out_port = vcobj.out_port
@@ -654,9 +457,11 @@ class Router:
             self._stall_ok = stall_ok
             return 0
 
-        # Starvation demotion (matches _collect_bids): only observable when
-        # an injection port actually bids, so the waiting-time scan is
-        # skipped on pure through-routers.
+        # -- starvation demotion (Sec. 5) ------------------------------------
+        # When any through-traffic input has waited past the threshold,
+        # injection-port bids lose their priority.  Only observable when an
+        # injection port actually bids, so pure through-routers skip the
+        # waiting-time scan.
         if injection_bids and prio_on and self.starvation_threshold > 0:
             thr = self.starvation_threshold
             demote = False
@@ -677,84 +482,9 @@ class Router:
                         self.starvation_demotions += len(blist)
                         port_bids[p] = [(v, o, 0) for v, o, _pr in blist]
 
-        # Single-bid fast paths: when every bidding input has exactly one
-        # bid, stage 1 is trivial (single requester wins, pointer advances
-        # past it).  If the outputs are also distinct, stage 2 collapses
-        # the same way; otherwise only the conflicted outputs need a real
-        # output-arbiter round.
-        fast_grants = []
-        omask = 0
-        conflict = 0
-        for p in bid_ports:
-            blist = port_bids[p]
-            if len(blist) != 1:
-                fast_grants = None
-                break
-            v, o, _pr = blist[0]
-            ob = 1 << o
-            if omask & ob:
-                conflict |= ob
-            omask |= ob
-            fast_grants.append((p, v, o))
-        if fast_grants is not None:
-            nvc = self.num_vcs
-            grants = []
-            if conflict == 0:
-                for p, v, o in fast_grants:
-                    nx = v + 1
-                    in_arbs[p]._next = nx if nx < nvc else 0
-                    nx = p + 1
-                    out_arbs[o]._next = nx if nx < n_in else 0
-                    grants.append((p, v))
-            else:
-                # Stage 1 single-requester wins; group stage 2 by output
-                # exactly as _allocate_fast would (first-bid order).
-                by_out = [None] * 5
-                out_order = []
-                for p, v, o in fast_grants:
-                    nx = v + 1
-                    in_arbs[p]._next = nx if nx < nvc else 0
-                    pr = port_bids[p][0][2]
-                    group = by_out[o]
-                    if group is None:
-                        by_out[o] = [(p, v, pr)]
-                        out_order.append(o)
-                    else:
-                        group.append((p, v, pr))
-                for o in out_order:
-                    group = by_out[o]
-                    arb = out_arbs[o]
-                    if len(group) == 1:
-                        p, v, _pr = group[0]
-                        nx = p + 1
-                        arb._next = nx if nx < n_in else 0
-                        grants.append((p, v))
-                        continue
-                    vec = [None] * n_in
-                    in_v = [0] * n_in
-                    for p, v, pr in group:
-                        cur = vec[p]
-                        if cur is None or pr > cur:
-                            vec[p] = pr
-                            in_v[p] = v
-                    nxt = arb._next
-                    best_p = -1
-                    best_prio = -1
-                    for off in range(n_in):
-                        idx = nxt + off
-                        if idx >= n_in:
-                            idx -= n_in
-                        prv = vec[idx]
-                        if prv is not None and prv > best_prio:
-                            best_prio = prv
-                            best_p = idx
-                    nx = best_p + 1
-                    arb._next = nx if nx < n_in else 0
-                    grants.append((best_p, in_v[best_p]))
-        else:
-            grants = self._allocate_fast(bid_ports, port_bids)
+        grants = self.allocator.grants(bid_ports, port_bids)
 
-        # -- switch traversal (matches _traverse) --------------------------
+        # -- switch traversal ----------------------------------------------
         moved = 0
         injected = 0
         idle_state = VCState.IDLE
@@ -807,7 +537,7 @@ class Router:
                     raise RuntimeError(f"credit underflow on vc {out_vc}")
                 counts[out_vc] -= 1
                 credits.total -= 1
-            # Inlined OutputPort.record_send + Link.send.
+            # WPF writer lock: release once the packet's last flit is sent.
             writer = out.writer
             if writer[out_vc] != flit.packet.pid:
                 raise RuntimeError(
@@ -817,10 +547,12 @@ class Router:
             wl[out_vc] -= 1
             if wl[out_vc] == 0:
                 writer[out_vc] = None
+            # Inlined Link.send.
             lk = out.link
             lk._pipe.append((now + lk.latency, flit))
             lk.flits_carried += 1
             lk.busy_cycles += 1
+            # Return the freed buffer slot upstream.
             if port.is_injection:
                 if ni is not None:
                     ni.on_credit(port.port_id, v)
@@ -836,123 +568,20 @@ class Router:
         self.flits_switched += moved
         return moved
 
-    def _allocate_fast(self, bid_ports, port_bids):
-        """Exact flat-tuple transliteration of :meth:`SwitchAllocator.allocate`.
+    # perfbench/loaded.py's traced run wraps both ``step`` and ``step_fast``
+    # on every router; keep the alias until it wraps ``step`` alone.
+    step_fast = step
 
-        ``port_bids[p]`` holds that input's bids as ``(vc, out_port, prio)``
-        tuples in VC-scan order — the same per-input order the reference
-        pipeline feeds the allocator (inputs are resolved independently, so
-        cross-input order is free).  Arbiter pointers are read and written
-        through the same :class:`RoundRobinArbiter` instances, so switching
-        pipelines mid-run keeps arbitration history.  Returns winning
-        ``(in_port, vc)`` pairs.
+    def _try_allocate(self, vc: VirtualChannel, pkt, vc_rule: int) -> bool:
+        """VC allocation for the packet at the front of ``vc``.
+
+        Tries the route candidates in order (adaptive routing re-ranks
+        them by free downstream credits) and claims the first downstream
+        VC that the routing's VC rule allows and that the WPF rule admits:
+        no packet is being written into it and the whole packet fits.
+        ``vc_rule``: 0 = every VC legal (XY), 1 = escape VC 0 only on the
+        escape port (minimal adaptive), 2 = ask ``routing.vc_allowed``.
         """
-        alloc = self.allocator
-        in_arbs = alloc._input_arbiters
-        out_arbs = alloc._output_arbiters
-        speedups = alloc.speedups
-        nvc = self.num_vcs
-        n_in = self.num_inputs
-
-        # -- stage 1: input selection (per input, independent) -------------
-        stage1 = []
-        for p in bid_ports:
-            blist = port_bids[p]
-            arb = in_arbs[p]
-            if len(blist) == 1:
-                # Single requester always wins its first round; any later
-                # budget rounds see an empty request vector and leave the
-                # pointer alone.
-                v, o, pr = blist[0]
-                nx = v + 1
-                arb._next = nx if nx < nvc else 0
-                stage1.append((p, v, o, pr))
-                continue
-            budget = speedups.get(p, 1)
-            chosen_mask = 0
-            remaining = blist
-            for _ in range(budget):
-                vec = [None] * nvc
-                vc_bid = [None] * nvc
-                any_req = False
-                for t in remaining:
-                    if (chosen_mask >> t[1]) & 1:
-                        continue
-                    v = t[0]
-                    cur = vec[v]
-                    if cur is None or t[2] > cur:
-                        vec[v] = t[2]
-                        vc_bid[v] = t
-                        any_req = True
-                if not any_req:
-                    break
-                nxt = arb._next
-                best_v = -1
-                best_prio = -1
-                for off in range(nvc):
-                    idx = nxt + off
-                    if idx >= nvc:
-                        idx -= nvc
-                    prv = vec[idx]
-                    if prv is not None and prv > best_prio:
-                        best_prio = prv
-                        best_v = idx
-                nx = best_v + 1
-                arb._next = nx if nx < nvc else 0
-                t = vc_bid[best_v]
-                stage1.append((p, t[0], t[1], t[2]))
-                chosen_mask |= 1 << t[1]
-                remaining = [t2 for t2 in remaining if t2[0] != best_v]
-
-        # -- stage 2: output arbitration (per output, independent) ---------
-        by_out = [None] * 5
-        out_order = []
-        for t in stage1:
-            o = t[2]
-            group = by_out[o]
-            if group is None:
-                by_out[o] = [t]
-                out_order.append(o)
-            else:
-                group.append(t)
-        grants = []
-        for o in out_order:
-            group = by_out[o]
-            arb = out_arbs[o]
-            if len(group) == 1:
-                t = group[0]
-                p = t[0]
-                nx = p + 1
-                arb._next = nx if nx < n_in else 0
-                grants.append((p, t[1]))
-                continue
-            vec = [None] * n_in
-            in_bid = [None] * n_in
-            for t in group:
-                p = t[0]
-                cur = vec[p]
-                if cur is None or t[3] > cur:
-                    vec[p] = t[3]
-                    in_bid[p] = t
-            nxt = arb._next
-            best_p = -1
-            best_prio = -1
-            for off in range(n_in):
-                idx = nxt + off
-                if idx >= n_in:
-                    idx -= n_in
-                prv = vec[idx]
-                if prv is not None and prv > best_prio:
-                    best_prio = prv
-                    best_p = idx
-            nx = best_p + 1
-            arb._next = nx if nx < n_in else 0
-            t = in_bid[best_p]
-            grants.append((best_p, t[1]))
-        return grants
-
-    def _try_allocate_fast(self, vc: VirtualChannel, pkt, vc_rule: int) -> bool:
-        """Fast twin of :meth:`_try_allocate` (same outcomes, fewer calls)."""
         candidates = vc.candidates or []
         outs = self.output_ports
         routing = self.routing

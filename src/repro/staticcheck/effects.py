@@ -15,7 +15,7 @@ write through ``vcq.fifo``), with set-intersection join so only bindings
 valid on *every* path survive.
 
 Writes are keyed for comparison by their **final attribute name**
-(``self.inports[p].vcs[v].fifo`` and a ``_fast_wiring`` table alias of
+(``self.inports[p].vcs[v].fifo`` and a ``_wiring`` table alias of
 the same deque both key as ``fifo``) — coarse enough to survive aliasing
 through precomputed wiring tables, precise enough to diff two kernels'
 mutation footprints.  The full chain and owning class are kept on each

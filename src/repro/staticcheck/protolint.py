@@ -8,7 +8,7 @@ capacity/credit check.  The runtime ``InvariantChecker`` audits this
 per-cycle; this pass proves the *code shape* before a single cycle runs,
 catching the unpaired-pop class of bug (a drain path that forgets the
 refund — the exact hazard ``Router.purge_front_packet`` handles by
-mirroring ``_traverse``'s per-flit credit return).
+mirroring switch traversal's per-flit credit return in ``Router.step``).
 
 The analysis is per class: for every class that owns credit machinery
 (it references ``on_credit`` / ``credit_out`` / ``restore`` / a

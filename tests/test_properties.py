@@ -19,7 +19,7 @@ from repro.gpu.cache import Cache
 from repro.gpu.config import GDDR5TimingParams
 from repro.gpu.dram import DRAMChannel, DRAMRequest
 from repro.noc import Network, NetworkConfig
-from repro.noc.allocator import RoundRobinArbiter
+from repro.noc.allocator import SwitchAllocator
 from repro.noc.flit import Packet, PacketType
 from repro.noc.ni import NIKind
 
@@ -204,22 +204,27 @@ def test_split_ni_respects_credits(sizes, credit_seed):
 # ---------------------------------------------------------------------------
 
 
+def _contend(alloc, prios):
+    """Input ``i`` bids VC 0 -> output 0 at ``prios[i]``; returns the winner."""
+    n = len(prios)
+    port_bids = [[(0, 0, prios[i])] for i in range(n)]
+    (winner,) = alloc.grants(list(range(n)), port_bids)
+    return winner[0]
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     n=st.integers(2, 8),
     rounds=st.integers(10, 80),
-    seed=st.integers(0, 999),
 )
-def test_round_robin_no_starvation(n, rounds, seed):
+def test_round_robin_no_starvation(n, rounds):
     """Any persistently-requesting input is granted at least once every n
-    grants (rotating-priority starvation freedom)."""
-    arb = RoundRobinArbiter(n)
-    rng = random.Random(seed)
+    grants (rotating-priority starvation freedom), through the switch
+    allocator's output stage."""
+    alloc = SwitchAllocator(num_in=n, num_out=1, num_vcs=1)
     waits = [0] * n
     for _ in range(rounds):
-        req = [True] * n  # everyone always requests
-        g = arb.grant(req)
-        assert g is not None
+        g = _contend(alloc, [0] * n)  # everyone always requests
         for i in range(n):
             waits[i] = 0 if i == g else waits[i] + 1
             assert waits[i] < n
@@ -230,9 +235,8 @@ def test_round_robin_no_starvation(n, rounds, seed):
     prios=st.lists(st.integers(0, 3), min_size=2, max_size=8),
 )
 def test_prioritized_grant_is_max_priority(prios):
-    arb = RoundRobinArbiter(len(prios))
-    g = arb.grant_prioritized(list(prios))
-    assert g is not None
+    alloc = SwitchAllocator(num_in=len(prios), num_out=1, num_vcs=1)
+    g = _contend(alloc, prios)
     assert prios[g] == max(prios)
 
 
