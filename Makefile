@@ -124,7 +124,7 @@ perfwatch-demo:
 	PYTHONPATH=src $(PY) examples/perfwatch_demo.py
 
 clean-cache:
-	rm -rf results/cache results/cache.json
+	rm -rf results/cache
 
 loc:
 	@find src tests benchmarks examples -name '*.py' | xargs wc -l | tail -1

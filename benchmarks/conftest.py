@@ -43,8 +43,7 @@ def bench_cache(tmp_path):
         os.path.join(
             os.environ.get("PYTEST_BENCH_CACHE_DIR", str(tmp_path)),
             "bench_cache",
-        ),
-        migrate=False,
+        )
     )
     store.preload(_session_cache)
     previous = set_default_store(store)

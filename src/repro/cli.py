@@ -39,7 +39,7 @@ from typing import List, Optional
 from repro.core.schemes import scheme_names
 from repro.experiments import figures
 from repro.experiments.api import run, run_live, run_many, sweep
-from repro.experiments.runner import RunSpec, cache_info, clear_cache
+from repro.experiments.runner import RunSpec
 from repro.workloads.suite import benchmark_names, by_sensitivity
 
 MAIN_SCHEMES = [
@@ -193,13 +193,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.experiments.store import default_store
 
+    store = default_store()
     if args.clear:
-        clear_cache(disk=True)
+        store.clear(disk=True)
         print("cleared result store")
-    info = cache_info()
-    for k, v in info.items():
+    for k, v in store.info().items():
         print(f"{k:12s}: {v}")
-    legacy = default_store().scan_legacy()
+    legacy = store.scan_legacy()
     if legacy:
         print(
             f"warning: {len(legacy)} legacy-format entr"

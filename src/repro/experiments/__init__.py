@@ -3,7 +3,7 @@
 ``repro.experiments.api`` is the public execution surface — ``run`` /
 ``run_many`` / ``sweep`` / ``grid`` — backed by a process-pool
 :class:`~repro.experiments.executor.SweepExecutor` and a per-run-file
-:class:`~repro.experiments.store.ResultStore` (location from
+:class:`~repro.experiments.store.ResultStore` (a directory named by
 ``REPRO_CACHE``), so re-renders are free and multi-core hosts shard the
 scheme x benchmark grid across workers.
 
@@ -24,13 +24,7 @@ from repro.experiments.api import (
 )
 from repro.experiments.executor import ExecutionReport, ExecutorError, SweepExecutor
 from repro.experiments.report import render_kv, render_table
-from repro.experiments.runner import (
-    RunSpec,
-    cache_info,
-    clear_cache,
-    geometric_mean,
-    run_system,  # deprecated wrapper
-)
+from repro.experiments.runner import RunSpec, geometric_mean
 from repro.experiments.store import ResultStore, default_store, set_default_store
 
 __all__ = [
@@ -46,10 +40,7 @@ __all__ = [
     "SweepExecutor",
     "ExecutionReport",
     "ExecutorError",
-    "run_system",
     "geometric_mean",
-    "clear_cache",
-    "cache_info",
     "figures",
     "render_table",
     "render_kv",

@@ -12,33 +12,32 @@ examples sit on::
 
 All cached entry points go through one :class:`~repro.experiments.store.
 ResultStore` (``store=`` to override, ``REPRO_CACHE`` for the default
-location) and one :class:`~repro.experiments.executor.SweepExecutor`
-(``workers=`` to parallelize; every spec carries its own seed, so
-parallel output is record-for-record identical to serial).
+directory), read cached runs through :meth:`~repro.experiments.store.
+ResultStore.lookup`, and share one :class:`~repro.experiments.executor.
+SweepExecutor` (``workers=`` to parallelize; every spec carries its own
+seed, so parallel output is record-for-record identical to serial).
 
 Live runs with telemetry attached never consult the cache; use
-:func:`run_live` (or ``run(spec, telemetry=...)``) for those.  The old
-``run_system`` / ``run_with_telemetry`` / ``runner.sweep`` /
-``cartesian_sweep`` names remain as thin deprecated wrappers.
+:func:`run_live` (or ``run(spec, telemetry=...)``) for those.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.executor import (
     SweepExecutor,
     fault_extras,
     install_spec_faults,
-    resolve_invariant_mode,
+    reads_cache,
     simulate_spec,
 )
 from repro.experiments.runner import RunSpec
-from repro.experiments.store import ResultStore, coerce_record, default_store
+from repro.experiments.specgrid import SPEC_FIELDS
+from repro.experiments.store import ResultStore, default_store
 from repro.gpu.system import SimulationResult
 from repro.telemetry.profiler import HostProfiler
 
@@ -51,8 +50,6 @@ DEFAULT_METRICS = (
     "reply_traffic_share",
     "l2_hit_rate",
 )
-
-_SPEC_FIELDS = {f.name for f in fields(RunSpec)}
 
 
 def _validate_specs(specs: Sequence[RunSpec], strict: Optional[bool]) -> None:
@@ -137,20 +134,11 @@ def run(
             strict=strict,
         ).result
     _validate_specs([spec], strict)
-    mode = resolve_invariant_mode(check_invariants)
     st = store if store is not None else default_store()
-    if use_cache and mode != "raise":
-        hit = st.get(spec.key())
-        if hit is not None:
-            cached = coerce_record(hit)
-            if cached is not None:
-                return cached
-            warnings.warn(
-                f"ignoring legacy-format cache entry for {spec.key()[:12]}; "
-                "re-simulating (run `repro cache --clear` to purge)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+    if reads_cache(use_cache, check_invariants):
+        cached = st.lookup(spec.key())
+        if cached is not None:
+            return cached
     result = simulate_spec(spec, check_invariants=check_invariants)
     if use_cache:
         st.put(spec.key(), dataclasses.asdict(result))
@@ -288,9 +276,9 @@ def sweep(
     misses, retries, wall time) once all runs resolve.
     """
     for name in axes:
-        if name not in _SPEC_FIELDS:
+        if name not in SPEC_FIELDS:
             raise ValueError(
-                f"unknown RunSpec field {name!r}; valid: {sorted(_SPEC_FIELDS)}"
+                f"unknown RunSpec field {name!r}; valid: {', '.join(SPEC_FIELDS)}"
             )
     names = list(axes)
     combos = list(itertools.product(*(axes[n] for n in names)))

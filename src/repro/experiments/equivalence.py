@@ -226,7 +226,7 @@ def result_payload(result) -> Dict[str, object]:
     return payload
 
 
-def _run_system_case(spec: RunSpec, kernel: str) -> Dict[str, object]:
+def _run_spec_case(spec: RunSpec, kernel: str) -> Dict[str, object]:
     from repro.experiments.executor import simulate_spec
 
     result = simulate_spec(replace(spec, kernel=kernel))
@@ -293,8 +293,8 @@ def run_equivalence(
             ref = _run_telemetry_case(spec, "reference")
             act = _run_telemetry_case(spec, "activity")
         else:
-            ref = _run_system_case(spec, "reference")
-            act = _run_system_case(spec, "activity")
+            ref = _run_spec_case(spec, "reference")
+            act = _run_spec_case(spec, "activity")
         record(name, ref, act)
 
     return report

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.energy.gpuwattch import energy_per_work
 from repro.experiments.runner import RunSpec, build_system
-from repro.experiments.store import ResultStore, coerce_record, default_store
+from repro.experiments.store import ResultStore, default_store
 from repro.gpu.system import SimulationResult
 from repro.telemetry.profiler import HostProfiler
 
@@ -112,6 +112,16 @@ def resolve_invariant_mode(check_invariants=None) -> Optional[str]:
     if env == "collect":
         return "collect"
     return None
+
+
+def reads_cache(use_cache: bool, check_invariants=None) -> bool:
+    """Whether a run may be served from the result store.
+
+    A run asked to *raise* on invariant violations never reads the
+    cache: a cached record proves nothing about invariants, so the
+    simulation is redone under audit (the fresh result is still stored).
+    """
+    return use_cache and resolve_invariant_mode(check_invariants) != "raise"
 
 
 def install_spec_faults(spec: RunSpec, system):
@@ -288,7 +298,8 @@ class SweepExecutor:
         Re-attempts per failing run before :class:`ExecutorError`.
     store:
         :class:`ResultStore` for read-through caching; ``None`` uses the
-        process default.  ``use_cache=False`` skips both read and write.
+        process default.  ``use_cache=False`` skips both read and write;
+        raise-mode auditing skips the read (see :func:`reads_cache`).
     progress:
         ``progress(done, total, spec, source)`` per completed run.
     sink:
@@ -353,24 +364,15 @@ class SweepExecutor:
 
         with self.profiler.phase("sweep"):
             misses: List[int] = []
+            read = reads_cache(self.use_cache, self.check_invariants)
             with self.profiler.phase("cache"):
                 for i in unique:
-                    hit = store.get(specs[i].key()) if self.use_cache else None
-                    cached = coerce_record(hit) if hit is not None else None
+                    cached = store.lookup(specs[i].key()) if read else None
                     if cached is not None:
                         results[i] = cached
                         report.cache_hits += 1
                         self._emit(specs[i], "cache")
                     else:
-                        if hit is not None:
-                            import warnings
-
-                            warnings.warn(
-                                "ignoring legacy-format cache entry for "
-                                f"{specs[i].key()[:12]}; re-simulating",
-                                RuntimeWarning,
-                                stacklevel=2,
-                            )
                         report.cache_misses += 1
                         misses.append(i)
 

@@ -5,12 +5,10 @@
 :func:`build_system` turns a spec into a ready-to-run
 :class:`~repro.gpu.system.GPGPUSystem`.
 
-Execution moved to :mod:`repro.experiments.api` (cached single runs,
+Execution lives in :mod:`repro.experiments.api` (cached single runs,
 parallel batches, design-space sweeps) on top of
 :mod:`repro.experiments.executor` and the per-run-file
-:class:`~repro.experiments.store.ResultStore`.  The old entry points —
-``run_system``, ``run_with_telemetry``, ``sweep`` — remain here as thin
-deprecated wrappers for one release.
+:class:`~repro.experiments.store.ResultStore`.
 """
 
 from __future__ import annotations
@@ -19,9 +17,8 @@ import dataclasses
 import hashlib
 import json
 import math
-import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional
 
 from repro.core.schemes import Scheme, scheme as get_scheme
 from repro.gpu.config import GPUConfig
@@ -111,82 +108,6 @@ def build_system(spec: RunSpec) -> GPGPUSystem:
         # equivalence suite, so the cached payload cannot depend on it.
         kernel=spec.kernel,  # taint: sanitize(spec.kernel)
     )
-
-
-# -- cache control (over the default ResultStore) ---------------------------
-
-def clear_cache(disk: bool = False) -> None:
-    """Drop the default store's memory layer (and files with ``disk=True``)."""
-    from repro.experiments.store import default_store
-
-    default_store().clear(disk=disk)
-
-
-def cache_info() -> Dict[str, object]:
-    """Entry count and location of the default result store."""
-    from repro.experiments.store import default_store
-
-    return default_store().info()
-
-
-# -- deprecated wrappers (kept for one release) -----------------------------
-
-def run_system(spec: RunSpec, use_cache: bool = True) -> SimulationResult:
-    """Deprecated: use :func:`repro.experiments.api.run`."""
-    warnings.warn(
-        "run_system() is deprecated; use repro.experiments.api.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import api
-
-    return api.run(spec, use_cache=use_cache)
-
-
-def run_with_telemetry(
-    spec: RunSpec,
-    collector=None,
-    interval: int = 100,
-    jsonl_path: Optional[str] = None,
-    csv_path: Optional[str] = None,
-):
-    """Deprecated: use :func:`repro.experiments.api.run_live`.
-
-    Returns ``(result, collector, system)`` like the original.
-    """
-    warnings.warn(
-        "run_with_telemetry() is deprecated; "
-        "use repro.experiments.api.run_live()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import api
-
-    live = api.run_live(
-        spec,
-        collector=collector,
-        interval=interval,
-        jsonl_path=jsonl_path,
-        csv_path=csv_path,
-    )
-    return live.result, live.collector, live.system
-
-
-def sweep(
-    benchmarks: Sequence[str],
-    schemes: Sequence[str],
-    use_cache: bool = True,
-    **spec_kwargs,
-) -> Dict[str, Dict[str, SimulationResult]]:
-    """Deprecated: use :func:`repro.experiments.api.grid`."""
-    warnings.warn(
-        "runner.sweep() is deprecated; use repro.experiments.api.grid()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.experiments import api
-
-    return api.grid(benchmarks, schemes, use_cache=use_cache, **spec_kwargs)
 
 
 # -- aggregation ------------------------------------------------------------

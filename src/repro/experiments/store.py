@@ -1,19 +1,15 @@
 """Content-addressed, per-run-file simulation result store.
 
-Replaces the old module-global ``_memory_cache`` + monolithic
-``results/cache.json`` pair: every cached run lives in its own file,
-``<root>/<key[:2]>/<key>.json``, keyed by
-:meth:`~repro.experiments.runner.RunSpec.key`.  Per-run files mean
-parallel sweep workers (and independent host processes) never contend on
-one JSON blob — the worst concurrent case is two processes atomically
-replacing the *same* key with identical content.
+Every cached run lives in its own file, ``<root>/<key[:2]>/<key>.json``,
+keyed by :meth:`~repro.experiments.runner.RunSpec.key`.  Per-run files
+mean parallel sweep workers (and independent host processes) never
+contend on one JSON blob — the worst concurrent case is two processes
+atomically replacing the *same* key with identical content.
 
-The ``REPRO_CACHE`` environment variable still names the default store
-location.  For backward compatibility it may point at a legacy
-``cache.json`` file: the store then roots itself next to it (path minus
-the ``.json`` suffix) and performs a one-shot import of the monolithic
-cache into the sharded layout, recorded by a ``.legacy-imported`` marker
-so the import never repeats.
+The ``REPRO_CACHE`` environment variable names the default store
+directory (``results/cache`` when unset).  Cached runs are read back
+through :meth:`ResultStore.lookup`, the one place a stored record is
+decoded into a ``SimulationResult``.
 """
 
 from __future__ import annotations
@@ -21,13 +17,12 @@ from __future__ import annotations
 import json
 import os
 import threading
+import warnings
 from typing import Dict, Iterator, Optional
 
 _DEFAULT_LOCATION = os.path.join(
-    os.path.dirname(__file__), "..", "..", "..", "results", "cache.json"
+    os.path.dirname(__file__), "..", "..", "..", "results", "cache"
 )
-
-_MIGRATION_MARKER = ".legacy-imported"
 
 
 def coerce_record(record: dict):
@@ -48,25 +43,15 @@ def coerce_record(record: dict):
 class ResultStore:
     """Sharded on-disk store of run records with a write-through memory layer.
 
-    ``location`` may be a directory (used as the store root) or a legacy
-    ``*.json`` cache file (the root becomes the path without the suffix and
-    the file is imported once).  When omitted, ``REPRO_CACHE`` or the
-    repo-default ``results/cache.json`` decides.
+    ``location`` is the store's root directory.  When omitted,
+    ``REPRO_CACHE`` or the repo-default ``results/cache`` decides.
     """
 
-    def __init__(self, location: Optional[str] = None, *, migrate: bool = True):
+    def __init__(self, location: Optional[str] = None):
         location = location or os.environ.get("REPRO_CACHE", _DEFAULT_LOCATION)
-        location = os.path.abspath(location)
-        if location.endswith(".json"):
-            self.root = location[: -len(".json")]
-            self.legacy_json = location
-        else:
-            self.root = location
-            self.legacy_json = location + ".json"
+        self.root = os.path.abspath(location)
         self._lock = threading.Lock()
         self._memory: Dict[str, dict] = {}
-        if migrate:
-            self.import_legacy()
 
     # -- paths -------------------------------------------------------------
     def _path(self, key: str) -> str:
@@ -87,6 +72,26 @@ class ResultStore:
         with self._lock:
             self._memory[key] = record
         return record
+
+    def lookup(self, key: str):
+        """The cached ``SimulationResult`` for ``key``, or ``None``.
+
+        A record that no longer builds a result (written before a
+        result-schema change) is a miss: it warns, and the caller
+        re-simulates and overwrites it.
+        """
+        record = self.get(key)
+        if record is None:
+            return None
+        result = coerce_record(record)
+        if result is None:
+            warnings.warn(
+                f"ignoring legacy-format cache entry for {key[:12]}; "
+                "re-simulating (run `repro cache --clear` to purge)",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        return result
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -157,43 +162,13 @@ class ResultStore:
         with self._lock:
             return dict(self._memory)
 
-    # -- migration / introspection ----------------------------------------
-    def import_legacy(self, json_path: Optional[str] = None) -> int:
-        """One-shot import of a monolithic ``cache.json`` into the store.
-
-        Returns the number of records imported; 0 when the legacy file is
-        absent, unreadable, or already imported (marker present).
-        """
-        path = os.path.abspath(json_path or self.legacy_json)
-        marker = os.path.join(self.root, _MIGRATION_MARKER)
-        if os.path.exists(marker) or not os.path.exists(path):
-            return 0
-        try:
-            with open(path) as fh:
-                legacy = json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return 0
-        if not isinstance(legacy, dict):
-            return 0
-        imported = 0
-        for key, record in legacy.items():
-            if isinstance(record, dict) and self.get(key) is None:
-                self.put(key, record)
-                imported += 1
-        try:
-            os.makedirs(self.root, exist_ok=True)
-            with open(marker, "w") as fh:
-                fh.write(f"imported {imported} records from {path}\n")
-        except OSError:
-            pass
-        return imported
-
+    # -- introspection -----------------------------------------------------
     def scan_legacy(self) -> list:
         """Keys whose records no longer construct a ``SimulationResult``.
 
-        These are stale pre-migration entries (or records from an older
-        result schema); ``repro cache`` surfaces them as warnings, and
-        the run paths silently treat them as misses.
+        These are records from an older result schema; ``repro cache``
+        surfaces them as warnings, and :meth:`lookup` treats them as
+        misses.
         """
         bad = []
         for key in self.keys():
@@ -203,11 +178,7 @@ class ResultStore:
         return bad
 
     def info(self) -> Dict[str, object]:
-        return {
-            "entries": len(self),
-            "path": self.root,
-            "legacy_json": self.legacy_json,
-        }
+        return {"entries": len(self), "path": self.root}
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ResultStore({self.root!r})"
@@ -220,7 +191,7 @@ _DEFAULT_LOCK = threading.Lock()
 
 
 def default_store() -> ResultStore:
-    """The lazily-created process-wide store (``REPRO_CACHE`` location)."""
+    """The lazily-created process-wide store (``REPRO_CACHE`` directory)."""
     global _DEFAULT
     with _DEFAULT_LOCK:
         if _DEFAULT is None:

@@ -22,7 +22,7 @@ def _isolated_result_store(tmp_path, monkeypatch):
     """
     from repro.experiments import store as store_mod
 
-    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "result_store" / "cache.json"))
+    monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "result_store" / "cache"))
     store_mod.set_default_store(None)
     yield
     store_mod.set_default_store(None)

@@ -1,5 +1,4 @@
-"""Tests for the public experiments API (run / run_many / sweep / grid)
-and the deprecated wrappers that sit on top of it."""
+"""Tests for the public experiments API (run / run_many / sweep / grid)."""
 
 import dataclasses
 
@@ -118,49 +117,6 @@ class TestGrid:
         assert out["binomialOptions"]["ada-ari"].ipc > 0
 
 
-class TestDeprecatedWrappers:
-    def test_run_system_warns_and_delegates(self, tmp_path):
-        from repro.experiments.runner import run_system
-
-        with pytest.warns(DeprecationWarning, match="run_system"):
-            r = run_system(BASE)
-        assert r.instructions > 0
-
-    def test_run_with_telemetry_warns_and_returns_triple(self):
-        from repro.experiments.runner import run_with_telemetry
-
-        with pytest.warns(DeprecationWarning, match="run_with_telemetry"):
-            result, collector, system = run_with_telemetry(BASE, interval=20)
-        assert result.instructions > 0
-        assert collector.samples_taken > 0
-        assert system.mc_nodes
-
-    def test_runner_sweep_warns_and_returns_grid(self):
-        from repro.experiments.runner import sweep as runner_sweep
-
-        with pytest.warns(DeprecationWarning, match="runner.sweep"):
-            out = runner_sweep(
-                ["binomialOptions"], ["xy-baseline"],
-                cycles=80, warmup=20, mesh=4, warps_per_core=4,
-            )
-        assert out["binomialOptions"]["xy-baseline"].ipc > 0
-
-    def test_cartesian_sweep_warns_and_keeps_progress_signature(self):
-        from repro.experiments.sweeps import cartesian_sweep
-
-        seen = []
-        with pytest.warns(DeprecationWarning, match="cartesian_sweep"):
-            records = cartesian_sweep(
-                BASE,
-                axes={"seed": [1, 2]},
-                metrics=("ipc",),
-                use_cache=False,
-                progress=lambda i, n, spec: seen.append((i, n)),
-            )
-        assert len(records) == 2
-        assert seen == [(0, 2), (1, 2)]
-
-
 class TestCheckInvariants:
     def test_resolve_mode_explicit_wins(self, monkeypatch):
         from repro.experiments.executor import resolve_invariant_mode
@@ -196,6 +152,16 @@ class TestCheckInvariants:
         assert api.run(BASE, store=store).ipc == -1.0
         # ...but a raise-mode run re-simulates under audit.
         r = api.run(BASE, store=store, check_invariants="raise")
+        assert r.ipc > 0
+        assert r.extras["invariant_violations"] == 0.0
+
+    def test_run_many_raise_mode_bypasses_cache(self, tmp_path):
+        store = ResultStore(str(tmp_path / "s"))
+        poisoned = dataclasses.asdict(api.run(BASE, store=store))
+        poisoned["ipc"] = -1.0
+        store.put(BASE.key(), poisoned)
+        assert api.run_many([BASE], store=store)[0].ipc == -1.0
+        (r,) = api.run_many([BASE], store=store, check_invariants="raise")
         assert r.ipc > 0
         assert r.extras["invariant_violations"] == 0.0
 

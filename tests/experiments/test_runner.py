@@ -5,8 +5,6 @@ import pytest
 from repro.experiments.runner import (
     RunSpec,
     build_system,
-    cache_info,
-    clear_cache,
     geometric_mean,
     normalized,
 )
@@ -78,14 +76,15 @@ class TestRunAndCache:
 
     def test_cache_info_and_clear(self):
         from repro.experiments.api import run
+        from repro.experiments.store import default_store
 
         spec = RunSpec("binomialOptions", "xy-baseline", cycles=120, warmup=30,
                        mesh=4, warps_per_core=4)
         run(spec)
-        info = cache_info()
-        assert info["entries"] == 1
-        clear_cache(disk=True)
-        assert cache_info()["entries"] == 0
+        store = default_store()
+        assert store.info()["entries"] == 1
+        store.clear(disk=True)
+        assert store.info()["entries"] == 0
 
 
 class TestAggregation:

@@ -1,6 +1,5 @@
 """Tests for the content-addressed per-run-file ResultStore."""
 
-import json
 import os
 import threading
 
@@ -61,34 +60,6 @@ class TestBasics:
         assert info["path"] == str(tmp_path / "store")
 
 
-class TestLegacyMigration:
-    def test_json_location_imports_legacy_once(self, tmp_path):
-        legacy = tmp_path / "cache.json"
-        legacy.write_text(json.dumps({"aa11": {"ipc": 1.0}, "bb22": {"ipc": 2.0}}))
-        store = ResultStore(str(legacy))
-        assert store.root == str(tmp_path / "cache")
-        assert store.get("aa11") == {"ipc": 1.0}
-        assert store.get("bb22") == {"ipc": 2.0}
-        # One-shot: later additions to the legacy blob are ignored.
-        legacy.write_text(json.dumps({"cc33": {"ipc": 3.0}}))
-        again = ResultStore(str(legacy))
-        assert again.get("cc33") is None
-        assert again.get("aa11") == {"ipc": 1.0}
-
-    def test_import_legacy_returns_count(self, tmp_path):
-        legacy = tmp_path / "cache.json"
-        legacy.write_text(json.dumps({"aa11": {"ipc": 1.0}}))
-        store = ResultStore(str(tmp_path / "cache"), migrate=False)
-        assert store.import_legacy() == 1
-        assert store.import_legacy() == 0  # marker written
-
-    def test_missing_or_bad_legacy_is_noop(self, tmp_path):
-        assert ResultStore(str(tmp_path / "a.json")).import_legacy() == 0
-        bad = tmp_path / "b.json"
-        bad.write_text("not json at all")
-        assert ResultStore(str(bad)).get("anything") is None
-
-
 class TestConcurrency:
     def test_concurrent_writers(self, tmp_path):
         """Many threads writing distinct and shared keys must not corrupt."""
@@ -131,10 +102,10 @@ class TestConcurrency:
 
 class TestDefaultStore:
     def test_respects_repro_cache_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "env_store" / "cache.json"))
+        monkeypatch.setenv("REPRO_CACHE", str(tmp_path / "env_store"))
         set_default_store(None)
         store = default_store()
-        assert store.root == str(tmp_path / "env_store" / "cache")
+        assert store.root == str(tmp_path / "env_store")
         assert default_store() is store  # singleton until reset
 
     def test_set_default_store_returns_previous(self, tmp_path):

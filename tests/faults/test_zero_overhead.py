@@ -74,7 +74,7 @@ def test_plain_spec_never_imports_faults_package(tmp_path):
         env={
             **os.environ,
             "PYTHONPATH": src_dir,
-            "REPRO_CACHE": str(tmp_path / "c.json"),
+            "REPRO_CACHE": str(tmp_path / "c"),
         },
     )
     assert proc.returncode == 0, proc.stderr

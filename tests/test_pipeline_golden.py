@@ -22,7 +22,7 @@ import pytest
 
 from repro.experiments.equivalence import (
     _run_network_case,
-    _run_system_case,
+    _run_spec_case,
     _run_telemetry_case,
     network_cases,
     network_snapshot,
@@ -93,7 +93,7 @@ def compute_digest(name: str, kernel: str) -> str:
             return payload_digest(_run_network_case(kernel, **kwargs))
     for case, spec, telemetry in system_cases(quick=True):
         if case == name:
-            run = _run_telemetry_case if telemetry else _run_system_case
+            run = _run_telemetry_case if telemetry else _run_spec_case
             return payload_digest(run(spec, kernel))
     if name == LATE_FAULTS_CASE:
         return payload_digest(_run_late_faults_case(kernel))
