@@ -335,6 +335,7 @@ class FaultInjector:
         if out.writer[vc] == FAULT_PID:
             out.writer[vc] = None
             out.writer_left[vc] = 0
+            out.ver += 1  # lets blocked VC allocations retry
 
     def _settle_deferred_pins(self) -> None:
         # Runs before routers allocate, so a writer freed last cycle is

@@ -1,65 +1,24 @@
 """Separable input-first switch allocation with priority-aware arbitration.
 
-The paper's configuration (Table I) uses a separable input-first allocator.
-Two pieces are provided:
+The paper's configuration (Table I) uses a separable input-first allocator,
+:class:`SwitchAllocator`, with two stages:
 
-* :class:`RoundRobinArbiter` — a rotating-priority arbiter used for
-  fairness among equal-priority requesters.
-* :class:`SwitchAllocator` — the two-stage separable allocation:
+1. *input stage*: each input port selects which of its ready VCs bid for
+   the crossbar this cycle.  Ordinary ports select one VC; an injection
+   port with crossbar speedup ``S`` (ARI, Sec. 4.2) may select up to ``S``
+   VCs targeting *distinct* output ports.
+2. *output stage*: each output port grants one of the bidding inputs.
 
-  1. *input stage*: each input port selects which of its ready VCs bid for
-     the crossbar this cycle.  Ordinary ports select one VC; an injection
-     port with crossbar speedup ``S`` (ARI, Sec. 4.2) may select up to ``S``
-     VCs targeting *distinct* output ports.
-  2. *output stage*: each output port grants one of the bidding inputs.
-
-  Both stages compare the ARI priority field first (Sec. 5) and break ties
-  round-robin, so the multi-level prioritization composes naturally with
-  the base allocator.
+Every arbiter compares the ARI priority field first (Sec. 5) and breaks
+ties round-robin from its pointer, so the multi-level prioritization
+composes naturally with the base allocator.  Both stages resolve in one
+pass over the bids: each input's winner is merged into a running leader
+per output as soon as it is known.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
-
-
-class RoundRobinArbiter:
-    """Rotating-priority arbiter over ``size`` requesters."""
-
-    __slots__ = ("size", "_next")
-
-    def __init__(self, size: int) -> None:
-        if size < 1:
-            raise ValueError("arbiter size must be >= 1")
-        self.size = size
-        self._next = 0
-
-    def grant_prioritized(
-        self, requests: Sequence[Optional[int]]
-    ) -> Optional[int]:
-        """Grant among requesters carrying integer priorities.
-
-        ``requests[i]`` is ``None`` if requester *i* is idle, otherwise its
-        priority (higher wins).  Ties break round-robin from the arbiter
-        pointer; the pointer only advances past the granted requester.
-        """
-        size = self.size
-        if len(requests) != size:
-            raise ValueError("request vector size mismatch")
-        start = self._next
-        best_idx: Optional[int] = None
-        best_prio = -1
-        for off in range(size):
-            idx = start + off
-            if idx >= size:
-                idx -= size
-            prio = requests[idx]
-            if prio is not None and prio > best_prio:
-                best_prio = prio
-                best_idx = idx
-        if best_idx is not None:
-            self._next = best_idx + 1 if best_idx + 1 < size else 0
-        return best_idx
 
 
 class SwitchAllocator:
@@ -75,9 +34,13 @@ class SwitchAllocator:
         Per-input-port crossbar speedup (number of switch ports assigned to
         that input).  Defaults to 1 everywhere; ARI raises the injection
         port's entry.
+
+    ``in_ptr[p]`` and ``out_ptr[o]`` are the round-robin pointers of the
+    input and output arbiters: the requester (VC, resp. input port) an
+    arbiter favours on a priority tie.
     """
 
-    __slots__ = ("num_vcs", "speedups", "input_arbiters", "output_arbiters")
+    __slots__ = ("num_vcs", "num_in", "speedups", "in_ptr", "out_ptr")
 
     def __init__(
         self,
@@ -87,10 +50,16 @@ class SwitchAllocator:
         speedups: Optional[Dict[int, int]] = None,
     ) -> None:
         speedups = speedups or {}
+        if min(num_in, num_out, num_vcs) < 1:
+            raise ValueError("allocator port and VC counts must be >= 1")
+        for p, s in speedups.items():
+            if not 0 <= p < num_in or s < 1:
+                raise ValueError(f"bad speedup {s!r} for input port {p!r}")
         self.num_vcs = num_vcs
+        self.num_in = num_in
         self.speedups = [speedups.get(p, 1) for p in range(num_in)]
-        self.input_arbiters = [RoundRobinArbiter(num_vcs) for _ in range(num_in)]
-        self.output_arbiters = [RoundRobinArbiter(num_in) for _ in range(num_out)]
+        self.in_ptr = [0] * num_in
+        self.out_ptr = [0] * num_out
 
     def grants(
         self,
@@ -101,72 +70,71 @@ class SwitchAllocator:
 
         ``bid_ports`` lists the inputs that bid; ``port_bids[p]`` holds
         input ``p``'s bids as ``(vc, out_port, priority)`` tuples, at most
-        one per VC (a VC has one front flit).  Returns the winning
-        ``(in_port, vc)`` pairs.  Guarantees:
+        one per VC (a VC has one front flit), priorities ``>= 0``.
+        Returns the winning ``(in_port, vc)`` pairs, ordered by the first
+        input-stage win on each output.  Guarantees:
 
         * each input port wins at most ``speedup`` grants, on distinct
-          output ports;
+          output ports; a speedup port picks them in rounds, each round
+          among the VCs whose output it has not yet won;
         * each output port grants at most one input;
-        * higher priority wins at both stages, ties round-robin.
+        * higher priority wins at both stages; ties go to the requester
+          nearest at or after the arbiter's pointer (cyclically);
+        * each pointer moves just past its winner, and only when its
+          arbiter grants.
 
         Each input and each output is resolved independently, so the order
-        of ``bid_ports`` cannot change any grant.
+        of ``bid_ports`` cannot change the set of grants.
         """
-        in_arbs = self.input_arbiters
         nvc = self.num_vcs
-
-        # -- stage 1: input selection -------------------------------------
-        stage1 = []
+        n_in = self.num_in
+        in_ptr = self.in_ptr
+        out_ptr = self.out_ptr
+        speedups = self.speedups
+        # Running output-stage leaders: out_port -> (in_port, vc, priority),
+        # in first-win order.  A later input-stage winner displaces the
+        # leader on higher priority or, on a tie, when nearer the pointer.
+        lead: Dict[int, Tuple[int, int, int]] = {}
         for p in bid_ports:
             blist = port_bids[p]
-            if len(blist) == 1:
-                # A sole requester wins its first round outright; later
-                # budget rounds would see no request and leave the pointer.
-                v, o, pr = blist[0]
-                in_arbs[p]._next = v + 1 if v + 1 < nvc else 0
-                stage1.append((p, v, o, pr))
-                continue
-            arb = in_arbs[p]
-            chosen_outs = 0  # bitmask of outputs this input already won
-            remaining = blist
-            for _ in range(self.speedups[p]):
-                vec: List[Optional[int]] = [None] * nvc
-                vc_bid = [None] * nvc
-                for bid in remaining:
-                    if (chosen_outs >> bid[1]) & 1:
-                        continue
-                    vec[bid[0]] = bid[2]
-                    vc_bid[bid[0]] = bid
-                win_vc = arb.grant_prioritized(vec)
-                if win_vc is None:
+            rounds = speedups[p]
+            taken = 0  # bitmask of outputs this input already won
+            ptr = in_ptr[p]
+            while True:
+                # -- input stage: priority first, then rotated distance --
+                if len(blist) == 1:
+                    v, o, pr = blist[0]  # a sole requester wins outright
+                else:
+                    best = None
+                    best_key = 0
+                    for bid in blist:
+                        if taken and (taken >> bid[1]) & 1:
+                            continue
+                        # Rotated distance is < nvc, so the key orders by
+                        # priority first and distance only within one.
+                        key = bid[2] * nvc - (bid[0] - ptr) % nvc
+                        if best is None or key > best_key:
+                            best = bid
+                            best_key = key
+                    if best is None:
+                        break
+                    v, o, pr = best
+                ptr = v + 1 if v + 1 < nvc else 0
+                # -- output stage: merge into the running leader ---------
+                cur = lead.get(o)
+                if cur is None:
+                    lead[o] = (p, v, pr)
+                elif pr > cur[2] or pr == cur[2] and (
+                    (p - out_ptr[o]) % n_in < (cur[0] - out_ptr[o]) % n_in
+                ):
+                    lead[o] = (p, v, pr)
+                rounds -= 1
+                if not rounds or len(blist) == 1:
                     break
-                v, o, pr = vc_bid[win_vc]
-                stage1.append((p, v, o, pr))
-                chosen_outs |= 1 << o
-                remaining = [bid for bid in remaining if bid[0] != win_vc]
-
-        # -- stage 2: output arbitration ----------------------------------
-        by_out: Dict[int, list] = {}
-        for bid in stage1:
-            group = by_out.get(bid[2])
-            if group is None:
-                by_out[bid[2]] = [bid]
-            else:
-                group.append(bid)
-        out_arbs = self.output_arbiters
+                taken |= 1 << o
+            in_ptr[p] = ptr
         winners = []
-        for o, group in by_out.items():
-            arb = out_arbs[o]
-            if len(group) == 1:
-                p, v, _o, _pr = group[0]
-                arb._next = p + 1 if p + 1 < arb.size else 0
-                winners.append((p, v))
-                continue
-            vec = [None] * arb.size
-            in_vc = [0] * arb.size
-            for p, v, _o, pr in group:
-                vec[p] = pr
-                in_vc[p] = v
-            p = arb.grant_prioritized(vec)
-            winners.append((p, in_vc[p]))
+        for o, (p, v, _pr) in lead.items():
+            out_ptr[o] = p + 1 if p + 1 < n_in else 0
+            winners.append((p, v))
         return winners

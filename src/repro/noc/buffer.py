@@ -45,6 +45,8 @@ class VirtualChannel:
         "wait_since",
         "candidates",
         "escape",
+        "va_blocked",
+        "va_ver",
     )
 
     def __init__(self, index: int, capacity: int) -> None:
@@ -63,6 +65,12 @@ class VirtualChannel:
         # in ROUTING/VA; adaptive routing keeps several candidates).
         self.candidates: Optional[list] = None
         self.escape: Optional[int] = None
+        # Blocked-VA memo, set by the router when VC allocation into the
+        # packet's single candidate output fails: that output and its
+        # ``ver`` then.  The retry is skipped until the version moves.
+        # kernel: private(VirtualChannel.va_blocked, VirtualChannel.va_ver)
+        self.va_blocked = None
+        self.va_ver = 0
 
     # -- capacity ------------------------------------------------------
     @property

@@ -78,7 +78,9 @@ class CreditCounter:
         self.counts: List[int] = [vc_capacity] * num_vcs
         # Running sum of ``counts`` — the adaptive-routing congestion
         # score reads it every retry, so it is maintained incrementally.
-        # Callers that bypass consume()/restore() must keep it in step.
+        # Credits come back only through ``Router.step``'s credit
+        # delivery, which keeps it in step and bumps the owning
+        # ``OutputPort.ver``; code that bypasses consume() must do both.
         self.total = num_vcs * vc_capacity
 
     def available(self, vc: int) -> int:
@@ -92,12 +94,6 @@ class CreditCounter:
             raise RuntimeError(f"credit underflow on vc {vc}")
         self.counts[vc] -= 1
         self.total -= 1
-
-    def restore(self, vc: int) -> None:
-        if self.counts[vc] >= self.capacity:
-            raise RuntimeError(f"credit overflow on vc {vc}")
-        self.counts[vc] += 1
-        self.total += 1
 
     def free_space(self, vc: int) -> int:
         """Alias of :meth:`available` used by WPF admission checks."""

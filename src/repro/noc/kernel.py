@@ -19,11 +19,12 @@ same code — :meth:`Router.step <repro.noc.router.Router.step>`, the NI's
     a link terminating at them.  NIs are live while they hold queued or
     pending packets; ``Network.offer`` re-arms them through the kernel's
     ``on_offer`` hook.  Credit returns to a sleeping router need *no*
-    wakeup: :meth:`CreditChannel.deliver` flushes everything due at-or-
-    before the wake cycle, and nothing observes a sleeping router's credit
-    counters in between.  Forced work that must happen on schedule — the
-    ``sample_interval`` NI occupancy sample, telemetry's ``on_cycle``, the
-    deadlock watchdog — runs every cycle in both kernels.  When a fault
+    wakeup: the credit-delivery stage at the top of ``Router.step``'s
+    ingest drains every credit due at-or-before the wake cycle, and
+    nothing observes a sleeping router's credit counters in between.
+    Forced work that must happen on schedule — the ``sample_interval`` NI
+    occupancy sample, telemetry's ``on_cycle``, the deadlock watchdog —
+    runs every cycle in both kernels.  When a fault
     injector or invariant auditor is installed the kernel falls back to
     full reference-order visiting (those hooks may mutate or inspect any
     component on any cycle), so campaigns trade speed for exactness.
@@ -326,7 +327,7 @@ class ActivityKernel(SimKernel):
                         # sleeper from the mover's branch below.
                         stalled[r] = now
                         live.discard(r)
-                        for q, _c in router._wiring[0]:
+                        for q, _c, _o in router._wiring[0]:
                             for entry in q:
                                 tq = entry[0]
                                 if tq == nxt:

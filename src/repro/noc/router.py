@@ -44,7 +44,10 @@ FAULT_PID = -1
 class OutputPort:
     """Router output: link, downstream credit view and per-VC writer locks."""
 
-    __slots__ = ("port_id", "link", "credits", "credit_in", "writer", "writer_left")
+    __slots__ = (
+        "port_id", "link", "credits", "credit_in", "writer", "writer_left",
+        "ver",
+    )
 
     def __init__(
         self,
@@ -62,6 +65,12 @@ class OutputPort:
         # each downstream VC, and how many of its flits are still to send.
         self.writer: List[Optional[int]] = [None] * num_vcs
         self.writer_left: List[int] = [0] * num_vcs
+        # Bumped by every change that can let a failed VC allocation into
+        # this output succeed: a credit delivered to an unlocked VC, a
+        # writer lock released (both in step) or a fault pin lifted.
+        # Claims and credit consumption only restrict, so they leave it.
+        # kernel: private(OutputPort.ver)
+        self.ver = 0
 
     def claim(self, vc: int, pid: int, size: int) -> None:
         if self.writer[vc] is not None:
@@ -130,8 +139,14 @@ class Router:
             num_in=self.num_inputs, num_out=5, num_vcs=num_vcs, speedups=speedups
         )
 
-        # VA fairness rotation.
+        # VA fairness rotation, and the input ports in visiting order for
+        # each pointer value.  # kernel: private(Router._port_orders)
         self._va_rr = 0
+        ports = self.input_ports
+        self._port_orders = tuple(
+            tuple(ports[start:] + ports[:start])
+            for start in range(self.num_inputs)
+        )
 
         # Prefer adaptive VCs, escape VC 0 last.
         self._vc_order = tuple(range(1, num_vcs)) + (0,)
@@ -207,6 +222,7 @@ class Router:
     ) -> None:
         vc.set_route(out_port)
         vc.set_out_vc(dvc)
+        vc.va_blocked = None
         out.claim(dvc, pkt.pid, pkt.size)
 
     # -- fault support ----------------------------------------------------------
@@ -258,6 +274,7 @@ class Router:
         vc.out_vc = None
         vc.candidates = None
         vc.escape = None
+        vc.va_blocked = None
         vc.state = VCState.IDLE
         vc.wait_since = None
         if vc.fifo:
@@ -268,15 +285,15 @@ class Router:
     def _build_wiring(self):
         """Precompute the wiring tables :meth:`step` iterates.
 
-        ``credited``: (in-flight deque, credit counter) pairs for output
-        ports with a credit-return channel.
+        ``credited``: (in-flight deque, credit counter, output port)
+        triples for output ports with a credit-return channel.
         ``inputs``: (input port, link, pipe) triples for wired links; the
         pipe deque is captured for plain links so empty links cost one
         bounds check instead of an ``arrivals()`` call (composite SplitNI
         bundles keep ``pipe=None`` and go through ``arrivals``).
         """
         credited = tuple(
-            (out.credit_in._in_flight, out.credits)
+            (out.credit_in._in_flight, out.credits, out)
             for out in self.output_ports
             if out is not None
             and out.credit_in is not None
@@ -308,16 +325,21 @@ class Router:
 
         if ingest:
             # -- credit delivery -------------------------------------------
-            for q, credits in credited:
+            for q, credits, out in credited:
                 if q and q[0][0] <= now:
                     counts = credits.counts
                     cap = credits.capacity
+                    writer = out.writer
                     while q and q[0][0] <= now:
                         v = q.popleft()[1]
                         if counts[v] >= cap:
                             raise RuntimeError(f"credit overflow on vc {v}")
                         counts[v] += 1
                         credits.total += 1
+                        # A credit into a VC still being written admits
+                        # nothing new; its writer release bumps instead.
+                        if writer[v] is None:
+                            out.ver += 1
 
             # -- ingest ----------------------------------------------------
             occ_add = 0
@@ -392,7 +414,9 @@ class Router:
         # -- route + VC allocation + bid collection, one rotated sweep -----
         # Inputs are visited from the VA round-robin pointer.  A VC that
         # wins VC allocation is ACTIVE with its head at the front, so it
-        # bids in the same cycle (single-cycle router).
+        # bids in the same cycle (single-cycle router).  A ROUTING VC whose
+        # blocked-VA memo still matches its output's version would fail
+        # allocation again and is skipped.
         ports = self.input_ports
         n_in = self.num_inputs
         start = self._va_rr
@@ -417,16 +441,20 @@ class Router:
         port_bids: List[Optional[list]] = [None] * n_in
         injection_bids = False
         stall_ok = True
-        i = start - n_in
-        while i < start:
-            port = ports[i]
-            i += 1
+        for port in self._port_orders[start]:
             if port.occ == 0:
                 continue
             blist = None
             for vcobj in port.vcs:
                 st = vcobj.state
                 if st is routing_state:
+                    blocked = vcobj.va_blocked
+                    if (
+                        blocked is not None
+                        and blocked.ver == vcobj.va_ver
+                        and vc_rule != 2
+                    ):
+                        continue
                     pkt = vcobj.fifo[0].packet
                     if vcobj.candidates is None:
                         dc = dest_coords(pkt.dest)
@@ -547,6 +575,7 @@ class Router:
             wl[out_vc] -= 1
             if wl[out_vc] == 0:
                 writer[out_vc] = None
+                out.ver += 1
             # Inlined Link.send.
             lk = out.link
             lk._pipe.append((now + lk.latency, flit))
@@ -581,6 +610,9 @@ class Router:
         no packet is being written into it and the whole packet fits.
         ``vc_rule``: 0 = every VC legal (XY), 1 = escape VC 0 only on the
         escape port (minimal adaptive), 2 = ask ``routing.vc_allowed``.
+        A failure on a single candidate under rule 0 or 1 depends only on
+        that output's writer locks and credits, so it sets the VC's
+        blocked-VA memo; success clears it.
         """
         candidates = vc.candidates or []
         outs = self.output_ports
@@ -640,6 +672,9 @@ class Router:
                     continue
                 self._commit_allocation(vc, out, out_port, dvc, pkt)
                 return True
+        if len(candidates) == 1 and vc_rule != 2 and out is not None:
+            vc.va_blocked = out
+            vc.va_ver = out.ver
         return False
 
     # The network installs this: maps a destination node id to mesh coords.

@@ -93,7 +93,6 @@ DEFAULT_POLICIES: Tuple[Tuple[str, MetricPolicy], ...] = (
     ("*delivered_fraction", MetricPolicy(HIGHER_BETTER, rel_threshold=0.02,
                                          noise_floor=0.01)),
     ("*invariant_violations", MetricPolicy(LOWER_BETTER, noise_floor=0.0)),
-    ("*dead_links", MetricPolicy(COUNTER)),
     ("*.cycles", MetricPolicy(COUNTER)),
     ("*.packets", MetricPolicy(COUNTER)),
     ("*dropped", MetricPolicy(COUNTER)),

@@ -145,7 +145,8 @@ def flatten_metrics(data: Mapping, prefix: str = "") -> Dict[str, float]:
     """Numeric leaves of a measurement tree as dotted metric paths.
 
     Dicts nest with ``.``; lists of dicts label rows by their identifying
-    keys (falling back to the index); numeric lists index their items.
+    keys (falling back to the index), which are then not metrics of the
+    row themselves; numeric lists index their items.
     Strings and booleans are context, not metrics, and are skipped.
     """
     out: Dict[str, float] = {}
@@ -156,7 +157,12 @@ def flatten_metrics(data: Mapping, prefix: str = "") -> Dict[str, float]:
         elif isinstance(value, (list, tuple)):
             for i, item in enumerate(value):
                 if isinstance(item, Mapping):
-                    out.update(flatten_metrics(item, _row_label(name, i, item)))
+                    fields = {
+                        k: v for k, v in item.items() if k not in _ID_KEYS
+                    }
+                    out.update(
+                        flatten_metrics(fields, _row_label(name, i, item))
+                    )
                 elif _is_number(item):
                     out[f"{name}[{i}]"] = float(item)
         elif _is_number(value):

@@ -1,11 +1,11 @@
-"""Tests for arbiters and the separable input-first switch allocator."""
+"""Tests for the separable input-first switch allocator and its arbiters."""
 
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.noc.allocator import RoundRobinArbiter, SwitchAllocator
+from repro.noc.allocator import SwitchAllocator
 
 
 def grants(alloc, bids, num_in=5):
@@ -20,42 +20,73 @@ def grants(alloc, bids, num_in=5):
     return alloc.grants(bid_ports, port_bids)
 
 
+class Arbiter:
+    """One ``size``-requester arbiter, driven through both allocator stages.
+
+    ``grant(requests)`` takes ``None`` (idle) or a priority per requester.
+    The output stage sees requester *i* as input port *i* bidding for the
+    one output; the input stage sees it as VC *i* of the one input bidding
+    for output *i*.  Both must pick the same winner.
+    """
+
+    def __init__(self, size):
+        self.size = size
+        self.out_stage = SwitchAllocator(num_in=size, num_out=1, num_vcs=1)
+        self.in_stage = SwitchAllocator(num_in=1, num_out=size, num_vcs=size)
+
+    def grant(self, requests):
+        if len(requests) != self.size:
+            raise ValueError("request vector size mismatch")
+        live = [(i, pr) for i, pr in enumerate(requests) if pr is not None]
+        by_out = grants(
+            self.out_stage, [(i, 0, 0, pr) for i, pr in live], self.size
+        )
+        by_in = grants(self.in_stage, [(0, i, i, pr) for i, pr in live], 1)
+        assert [p for p, _v in by_out] == [v for _p, v in by_in]
+        return by_out[0][0] if by_out else None
+
+
 class TestRoundRobinArbiter:
     def test_grants_only_requesters(self):
-        arb = RoundRobinArbiter(4)
-        assert arb.grant_prioritized([None, 0, None, None]) == 1
+        arb = Arbiter(4)
+        assert arb.grant([None, 0, None, None]) == 1
 
     def test_no_request_no_grant(self):
-        arb = RoundRobinArbiter(3)
-        assert arb.grant_prioritized([None, None, None]) is None
+        arb = Arbiter(3)
+        assert arb.grant([None, None, None]) is None
 
     def test_rotates_for_fairness(self):
-        arb = RoundRobinArbiter(3)
-        grants = [arb.grant_prioritized([0, 0, 0]) for _ in range(6)]
+        arb = Arbiter(3)
+        grants = [arb.grant([0, 0, 0]) for _ in range(6)]
         assert grants == [0, 1, 2, 0, 1, 2]
 
     def test_size_mismatch_raises(self):
-        arb = RoundRobinArbiter(2)
+        # A speedup for an input the crossbar does not have, or a
+        # zero-sized crossbar, is a geometry error.
         with pytest.raises(ValueError):
-            arb.grant_prioritized([0])
+            SwitchAllocator(num_in=2, num_out=2, num_vcs=2, speedups={2: 2})
+        with pytest.raises(ValueError):
+            SwitchAllocator(num_in=2, num_out=2, num_vcs=2, speedups={1: 0})
+        with pytest.raises(ValueError):
+            SwitchAllocator(num_in=0, num_out=2, num_vcs=2)
 
     def test_prioritized_prefers_higher(self):
-        arb = RoundRobinArbiter(3)
-        assert arb.grant_prioritized([0, 1, 0]) == 1
+        arb = Arbiter(3)
+        assert arb.grant([0, 1, 0]) == 1
 
     def test_prioritized_ties_round_robin(self):
-        arb = RoundRobinArbiter(2)
-        first = arb.grant_prioritized([1, 1])
-        second = arb.grant_prioritized([1, 1])
+        arb = Arbiter(2)
+        first = arb.grant([1, 1])
+        second = arb.grant([1, 1])
         assert {first, second} == {0, 1}
 
     def test_prioritized_skips_idle(self):
-        arb = RoundRobinArbiter(3)
-        assert arb.grant_prioritized([None, None, 0]) == 2
+        arb = Arbiter(3)
+        assert arb.grant([None, None, 0]) == 2
 
     def test_prioritized_all_idle(self):
-        arb = RoundRobinArbiter(2)
-        assert arb.grant_prioritized([None, None]) is None
+        arb = Arbiter(2)
+        assert arb.grant([None, None]) is None
 
 
 class TestSwitchAllocator:
@@ -160,3 +191,101 @@ def test_allocator_invariants(bids, inj_speedup):
     # 4. work conservation: if any bid exists, someone wins
     if uniq:
         assert winners
+
+
+def oracle(bids, speedups, in_ptr, out_ptr, num_vcs):
+    """Brute-force separable allocation, written from the grants() rules.
+
+    ``bids`` maps ``(in_port, vc)`` to ``(out_port, prio)``.  Returns the
+    winners in first-win-per-output order and the updated pointers.
+    """
+    num_in, num_out = len(in_ptr), len(out_ptr)
+    in_ptr, out_ptr = list(in_ptr), list(out_ptr)
+
+    def pick(requesters, ptr, size):
+        # Highest priority; among equals the first at or after ``ptr``.
+        order = [(ptr + k) % size for k in range(size)]
+        live = [i for i in order if i in requesters]
+        if not live:
+            return None
+        top = max(requesters[i] for i in live)
+        return next(i for i in live if requesters[i] == top)
+
+    stage1 = []  # (in_port, vc, out_port, prio) in input-stage win order
+    for p in sorted({ip for ip, _vc in bids}, key=lambda ip: ip):
+        won_outs = set()
+        for _round in range(speedups[p]):
+            reqs = {
+                vc: pr for (ip, vc), (op, pr) in bids.items()
+                if ip == p and op not in won_outs
+            }
+            v = pick(reqs, in_ptr[p], num_vcs)
+            if v is None:
+                break
+            in_ptr[p] = (v + 1) % num_vcs
+            o = bids[(p, v)][0]
+            won_outs.add(o)
+            stage1.append((p, v, o, bids[(p, v)][1]))
+    out_order = []
+    for _p, _v, o, _pr in stage1:
+        if o not in out_order:
+            out_order.append(o)
+    winners = []
+    for o in out_order:
+        reqs = {p: pr for p, _v, oo, pr in stage1 if oo == o}
+        p = pick(reqs, out_ptr[o], num_in)
+        out_ptr[o] = (p + 1) % num_in
+        winners.append((p, next(v for pp, v, oo, _ in stage1
+                                if pp == p and oo == o)))
+    return winners, in_ptr, out_ptr
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_grants_match_brute_force_oracle(data):
+    """Property: one-pass grants() equals the two-stage oracle exactly —
+    the same winners in the same order and the same pointer moves."""
+    num_in = data.draw(st.integers(1, 6), label="num_in")
+    num_out = data.draw(st.integers(1, 5), label="num_out")
+    num_vcs = data.draw(st.integers(1, 4), label="num_vcs")
+    speedups = data.draw(
+        st.lists(st.integers(1, 4), min_size=num_in, max_size=num_in),
+        label="speedups",
+    )
+    raw = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, num_in - 1),
+            st.integers(0, num_vcs - 1),
+            st.integers(0, num_out - 1),
+            st.integers(0, 3),
+        ),
+        max_size=24,
+    ), label="bids")
+    bids = {}
+    for ip, vc, op, pr in raw:
+        bids.setdefault((ip, vc), (op, pr))
+    in_ptr = data.draw(st.lists(st.integers(0, num_vcs - 1),
+                                min_size=num_in, max_size=num_in))
+    out_ptr = data.draw(st.lists(st.integers(0, num_in - 1),
+                                 min_size=num_out, max_size=num_out))
+
+    alloc = SwitchAllocator(num_in, num_out, num_vcs,
+                            speedups=dict(enumerate(speedups)))
+    alloc.in_ptr[:] = in_ptr
+    alloc.out_ptr[:] = out_ptr
+    # Ports bid in ascending order, each port's bids in VC order (the
+    # router's sweep lists them that way).
+    ordered = sorted((ip, vc, op, pr) for (ip, vc), (op, pr) in bids.items())
+    got = grants(alloc, ordered, num_in)
+    want, want_in, want_out = oracle(bids, speedups, in_ptr, out_ptr, num_vcs)
+    assert got == want
+    assert alloc.in_ptr == want_in
+    assert alloc.out_ptr == want_out
+    # The docstring's crossbar constraints, checked directly as well.
+    per_in = Counter(p for p, _v in got)
+    assert all(per_in[p] <= speedups[p] for p in per_in)
+    outs = [bids[w][0] for w in got]
+    assert len(outs) == len(set(outs))
+    for p in per_in:
+        mine = [bids[w][0] for w in got if w[0] == p]
+        assert len(mine) == len(set(mine))

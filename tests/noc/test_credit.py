@@ -3,6 +3,9 @@
 import pytest
 
 from repro.noc.credit import CreditChannel, CreditCounter
+from repro.noc.link import Link
+from repro.noc.router import Router
+from repro.noc.routing import EAST, XYRouting
 
 
 class TestCreditChannel:
@@ -49,14 +52,13 @@ class TestCreditCounter:
         c = CreditCounter(num_vcs=4, vc_capacity=9)
         assert all(c.available(v) == 9 for v in range(4))
 
-    def test_consume_and_restore(self):
+    def test_consume(self):
         c = CreditCounter(2, 3)
         c.consume(0)
         c.consume(0)
         assert c.available(0) == 1
         assert c.available(1) == 3
-        c.restore(0)
-        assert c.available(0) == 2
+        assert c.total == 4
 
     def test_underflow_raises(self):
         c = CreditCounter(1, 1)
@@ -65,9 +67,14 @@ class TestCreditCounter:
             c.consume(0)
 
     def test_overflow_raises(self):
-        c = CreditCounter(1, 1)
-        with pytest.raises(RuntimeError):
-            c.restore(0)
+        # Credits return only through a router's credit delivery; one more
+        # than the downstream VC can hold is a flow-control bug.
+        router = Router(0, (0, 0), XYRouting(), num_vcs=1, vc_capacity=1)
+        credit_in = CreditChannel(1)
+        router.set_output(EAST, Link("east"), credit_in, 1)
+        credit_in.send(0, now=0)
+        with pytest.raises(RuntimeError, match="credit overflow"):
+            router.step(1)
 
     def test_has_credit(self):
         c = CreditCounter(1, 1)

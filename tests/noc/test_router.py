@@ -132,6 +132,107 @@ class TestCredits:
         assert out.flits_carried == 2
 
 
+class TestBlockedVAMemo:
+    """A head blocked on its only candidate output skips VC allocation
+    until that output's version moves, and allocates on the first cycle
+    after any change that could let it in."""
+
+    def _blocked(self, router, inj, dest=3, now=0, vc=0, size=2):
+        pkt = Packet(PacketType.READ_REPLY, 0, dest, size, 0)
+        inject(inj, pkt, now=now, vc=vc)
+        return pkt
+
+    def test_allocates_the_cycle_after_a_credit_return(self):
+        router = make_router()
+        _out, credit_in = wire_east(router)
+        router.set_ejection(Link("ej"))
+        inj = wire_injection(router)
+        east = router.output_ports[EAST]
+        for vc in range(4):
+            for _ in range(9):
+                east.credits.consume(vc)
+        pkt = self._blocked(router, inj)
+        for t in range(1, 6):
+            router.step(t)
+        head_vc = router.input_ports[4].vcs[0]
+        assert head_vc.va_blocked is east
+        assert head_vc.va_ver == east.ver
+        for _ in range(2):
+            credit_in.send(2, now=5)  # lands at cycle 6
+        router.step(6)
+        assert east.writer[2] == pkt.pid
+        assert head_vc.va_blocked is None
+
+    def test_allocates_the_cycle_after_a_writer_release(self):
+        router = make_router()
+        out, _ = wire_east(router)
+        router.set_ejection(Link("ej"))
+        inj = wire_injection(router)
+        east = router.output_ports[EAST]
+        # Every EAST VC but VC 1 is held by packets that never finish;
+        # packet A takes VC 1 and B, behind it, must wait for A's tail.
+        for vc in (0, 2, 3):
+            east.claim(vc, pid=10_000 + vc, size=99)
+        a = self._blocked(router, inj, vc=0, size=5)
+        b = self._blocked(router, inj, now=1, vc=1)
+        b_vc = router.input_ports[4].vcs[1]
+        released = None
+        for t in range(1, 12):
+            router.step(t)
+            if released is None and east.writer[1] is None:
+                released = t
+                assert b_vc.va_blocked is east  # failed this cycle
+                assert b_vc.va_ver < east.ver
+            elif released is not None:
+                break
+        assert released is not None and out.flits_carried >= a.size
+        assert east.writer[1] == b.pid  # allocated on cycle released + 1
+
+    def test_allocates_the_cycle_after_a_fault_unpin(self):
+        from repro.faults import FaultPlan, install_faults
+        from repro.noc import Network, NetworkConfig
+
+        net = Network(NetworkConfig(width=4, height=4, routing="xy"))
+        # Router 0's EAST link dies for cycles 0..9; without detours the
+        # head for node 3 can only wait for the repair (unpin) at cycle 10.
+        install_faults(
+            net, FaultPlan.parse("link:r0.E@0+10"), detour=False
+        )
+        pkt = Packet(PacketType.READ_REPLY, 0, 3, 2, 0)
+        assert net.offer(0, pkt)
+        east = net.routers[0].output_ports[EAST]
+        while net.now < 10:
+            net.step()
+        heads = [
+            vc for port in net.routers[0].input_ports for vc in port.vcs
+            if vc.fifo and vc.fifo[0].packet is pkt
+        ]
+        assert heads and heads[0].va_blocked is east
+        net.step()  # cycle 10: the repair unpins, then routers allocate
+        assert pkt.pid in east.writer
+
+    def test_purge_clears_the_memo(self):
+        router = make_router()
+        wire_east(router)
+        router.set_ejection(Link("ej"))
+        inj = wire_injection(router)
+        east = router.output_ports[EAST]
+        for vc in range(4):
+            for _ in range(9):
+                east.credits.consume(vc)
+        a = self._blocked(router, inj)
+        # B (for this router's own node) queues behind A in the same VC.
+        b = self._blocked(router, inj, dest=1, now=2)
+        for t in range(1, 6):
+            router.step(t)
+        head_vc = router.input_ports[4].vcs[0]
+        assert head_vc.va_blocked is east
+        assert router.purge_front_packet(4, 0, 6) is a
+        assert head_vc.va_blocked is None
+        router.step(7)
+        assert router.output_ports[4].writer[0] == b.pid
+
+
 class TestInjectionSpeedup:
     def test_speedup_moves_multiple_flits(self):
         """Consumption side: with speedup 4 and flits in 4 VCs bound for

@@ -68,6 +68,20 @@ class TestFlattenMetrics:
         assert flat["rows[scheme=ada-ari,dead_links=1].ipc"] == 1.06
         assert flat["rows[scheme=xy-baseline,dead_links=1].ipc"] == 0.9
 
+    def test_row_identifying_keys_are_not_metrics(self):
+        # A row's label keys (dead_links, seed, workers, ...) identify it;
+        # ingesting them as metrics made series like
+        # ``rows[...,dead_links=1].dead_links``.
+        flat = schema.flatten_metrics(
+            {"rows": [
+                {"scheme": "ada-ari", "dead_links": 1, "seed": 3,
+                 "workers": 2, "ipc": 1.06},
+            ]}
+        )
+        assert flat == {
+            "rows[scheme=ada-ari,dead_links=1,seed=3,workers=2].ipc": 1.06
+        }
+
     def test_row_labels_survive_reordering(self):
         rows = [
             {"scheme": "a", "ipc": 1.0},
