@@ -2,14 +2,13 @@
 
 PY ?= python
 
-.PHONY: install test check flowcheck kernellint taintlint bench figures figures-paper telemetry-demo sweep-demo faults-demo search-demo kernel-demo kernel-equiv perfwatch perfwatch-demo clean-cache loc help
+.PHONY: install test check flowcheck taintlint bench figures figures-paper telemetry-demo sweep-demo faults-demo search-demo kernel-demo kernel-equiv perfwatch perfwatch-demo clean-cache loc help
 
 help:
 	@echo "make install        editable install"
 	@echo "make test           full unit/integration/property suite"
 	@echo "make check          static model checks + code lints (+ ruff if installed)"
 	@echo "make flowcheck      CI's repro-check job: model checks + all code lints, strict"
-	@echo "make kernellint     just the kernel-soundness prover (byte-identity contract)"
 	@echo "make taintlint      just the taint provers (cache-key soundness, zero overhead)"
 	@echo "make bench          regenerate every figure at CI scale"
 	@echo "make figures        regenerate figures at quick scale (9 benchmarks)"
@@ -39,18 +38,11 @@ check:
 
 # Mirrors CI's `repro-check` job exactly: the pre-run model checks for
 # every registered scheme, then all code lints (determinism, unit
-# inference, credit conservation, pool captures, kernel soundness,
-# taint provers) strict against the committed staticcheck-baseline.json.
+# inference, credit conservation, pool captures, taint provers) strict
+# against the committed staticcheck-baseline.json.
 flowcheck:
 	PYTHONPATH=src $(PY) -m repro check --all-schemes --json -
 	PYTHONPATH=src $(PY) -m repro check --code src/repro --strict --json -
-
-# Just the kernel-soundness prover: the reference/activity byte-identity
-# contract, checked interprocedurally over the shared call graph.
-kernellint:
-	PYTHONPATH=src $(PY) -m repro check --code src/repro --no-baseline \
-		--rule kernel-skip-unsound --rule kernel-wake-unscheduled \
-		--rule kernel-state-untracked --strict
 
 # Just the taint provers: cache-key soundness, the zero-overhead
 # contract for disabled telemetry/fault subsystems, and environmental

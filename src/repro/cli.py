@@ -740,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument(
         "--code", action="append", default=[], metavar="PATH",
         help="run the code lints (det/unit/proto/pool plus the "
-             "kernel-soundness prover) over these files/dirs; repeatable",
+             "taint provers) over these files/dirs; repeatable",
     )
     chk.add_argument(
         "--baseline", default=None, metavar="FILE",

@@ -68,7 +68,6 @@ class VirtualChannel:
         # Blocked-VA memo, set by the router when VC allocation into the
         # packet's single candidate output fails: that output and its
         # ``ver`` then.  The retry is skipped until the version moves.
-        # kernel: private(VirtualChannel.va_blocked, VirtualChannel.va_ver)
         self.va_blocked = None
         self.va_ver = 0
 
@@ -89,47 +88,15 @@ class VirtualChannel:
         """WPF admission: the whole packet must fit in the free space."""
         return self.free_space >= size
 
-    # -- enqueue / dequeue ---------------------------------------------
-    def push(self, flit: Flit, now: int) -> None:
-        if self.free_space <= 0:
-            raise RuntimeError(f"VC {self.index} overflow")
-        flit.vc = self.index
-        self.fifo.append(flit)
-        if len(self.fifo) == 1:
-            self._on_new_front(now)
-
-    def front(self) -> Optional[Flit]:
-        return self.fifo[0] if self.fifo else None
-
-    def pop(self, now: int) -> Flit:
-        """Remove the front flit (it won switch allocation)."""
-        if not self.fifo:
-            raise RuntimeError(f"VC {self.index} underflow")
-        flit = self.fifo.popleft()
-        if flit.is_tail:
-            # Packet fully drained from this VC: release route state so the
-            # next packet (if buffered behind, WPF) restarts at ROUTING.
-            self.out_port = None
-            self.out_vc = None
-            self.candidates = None
-            self.escape = None
-            self.state = VCState.IDLE
-        if self.fifo:
-            self._on_new_front(now)
-        elif not flit.is_tail:
-            # Body flits still upstream; stay ACTIVE with the held route.
-            self.wait_since = None
-        else:
-            self.wait_since = None
-        return flit
-
+    # -- front-packet transitions ---------------------------------------
     def _on_new_front(self, now: int) -> None:
         front = self.fifo[0]
         self.wait_since = now
         if front.is_head:
             if self.state == VCState.ACTIVE and self.out_port is not None:
                 # A fresh head behind a still-draining packet cannot start
-                # until the tail releases the VC (handled in pop()).
+                # until the tail releases the VC (switch traversal in
+                # Router.step resets the route when the tail leaves).
                 return
             self.state = VCState.ROUTING
         else:

@@ -98,7 +98,7 @@ class ReferenceKernel(SimKernel):
             # resource within the same cycle.  The activity kernel falls
             # back to full reference cycles whenever faults are
             # installed, so this hook is outside the gated fast path.
-            f.on_cycle(now)  # kernel: unreached
+            f.on_cycle(now)
         sent = 0
         for ni in net.nis:
             sent += ni.step(now)
@@ -126,7 +126,7 @@ class ReferenceKernel(SimKernel):
             # flow-control invariants must hold exactly here.  Like the
             # fault hook above, an installed auditor forces the activity
             # kernel into reference fallback.
-            a.on_cycle(now)  # kernel: unreached
+            a.on_cycle(now)
         t = net.telemetry
         if t is not None:
             t.on_cycle(now)
@@ -256,7 +256,7 @@ class ActivityKernel(SimKernel):
             # auditors inspect every router each cycle: both need the full
             # reference visiting order.  Correctness beats speed here.
             self.sync(net)
-            self._reference.cycle(net)  # kernel: fallback
+            self._reference.cycle(net)
             self._dirty = True
             return
         if self._dirty:

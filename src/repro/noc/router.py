@@ -69,7 +69,6 @@ class OutputPort:
         # this output succeed: a credit delivered to an unlocked VC, a
         # writer lock released (both in step) or a fault pin lifted.
         # Claims and credit consumption only restrict, so they leave it.
-        # kernel: private(OutputPort.ver)
         self.ver = 0
 
     def claim(self, vc: int, pid: int, size: int) -> None:
@@ -140,7 +139,7 @@ class Router:
         )
 
         # VA fairness rotation, and the input ports in visiting order for
-        # each pointer value.  # kernel: private(Router._port_orders)
+        # each pointer value.
         self._va_rr = 0
         ports = self.input_ports
         self._port_orders = tuple(
@@ -152,7 +151,7 @@ class Router:
         self._vc_order = tuple(range(1, num_vcs)) + (0,)
         # Wiring tables for step(), built lazily once links exist, and the
         # stall marker below: derived state and activity-kernel
-        # bookkeeping, not simulated state.  # kernel: private(Router._wiring, Router._stall_ok)
+        # bookkeeping, not simulated state.
         self._wiring = None
         # Set by step() on a zero-move cycle: True when every blocked
         # resource unblocks only through events the activity kernel already
@@ -267,8 +266,8 @@ class Router:
             if ch is not None:
                 for _ in range(pkt.size):
                     ch.send(vc_index, now)
-        # Reset route state by hand: pop() only understands flits that won
-        # switch allocation, and a body front without a route would trip
+        # Reset route state by hand: the packet never won switch
+        # allocation, and a body front without a route would trip
         # _on_new_front's consistency check.
         vc.out_port = None
         vc.out_vc = None
@@ -379,7 +378,6 @@ class Router:
                     # router now.
                     flit.out_port = None
                     flit.out_vc = None
-                    # Inlined VirtualChannel.push (same transitions/raises).
                     vcq = vcs[vc]
                     fifo = vcq.fifo
                     if vcq.capacity - len(fifo) <= 0:
@@ -531,7 +529,6 @@ class Router:
                 raise RuntimeError("switch grant for an empty VC")
             flit.out_port = out_port
             flit.out_vc = out_vc
-            # Inlined VirtualChannel.pop (same transitions, raises).
             fifo.popleft()
             if flit.is_tail:
                 vcobj.out_port = None

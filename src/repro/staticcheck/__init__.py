@@ -5,9 +5,10 @@ otherwise only observes at runtime: escape-network deadlock freedom
 (channel-dependency-graph acyclicity + reachability, per fault epoch),
 the paper's Eq. 1 / Eq. 2 injection-speedup sizing, queue/credit/VC
 partition sanity — plus AST/dataflow code lints over the simulator
-sources and an interprocedural effect analysis whose flagship client
-proves the ActivityKernel's byte-identity contract against the
-ReferenceKernel.  See ``docs/staticcheck.md`` for the rule catalog and
+sources and interprocedural taint provers for cache-key soundness and
+zero-overhead instrumentation.  The two simulation kernels' byte-identity
+is checked dynamically (golden corpus, ``repro check --kernel-equiv``),
+not here.  See ``docs/staticcheck.md`` for the rule catalog and
 the ``repro check`` CLI subcommand for the command-line front end.
 """
 
@@ -21,17 +22,12 @@ from repro.staticcheck.callgraph import (
     FunctionNode,
     build_call_graph,
 )
-from repro.staticcheck.effects import EffectEngine, EffectSummary, Write
 from repro.staticcheck.flow import (
     CFG,
     BasicBlock,
     BranchCondition,
     ForwardAnalysis,
     build_cfg,
-)
-from repro.staticcheck.kernellint import (
-    KernelPair,
-    find_kernel_pairs,
 )
 from repro.staticcheck.cdg import (
     EscapeGraph,
@@ -71,18 +67,14 @@ __all__ = [
     "CheckReport",
     "CheckRunner",
     "Diagnostic",
-    "EffectEngine",
-    "EffectSummary",
     "ForwardAnalysis",
     "FunctionNode",
     "EscapeGraph",
     "EscapeTrace",
-    "KernelPair",
     "ModelInputs",
     "Severity",
     "StaticCheckError",
     "StaticCheckWarning",
-    "Write",
     "all_pairs_unreachable",
     "apply_baseline",
     "build_call_graph",
@@ -91,7 +83,6 @@ __all__ = [
     "channel_name",
     "check_model",
     "clear_validation_cache",
-    "find_kernel_pairs",
     "load_baseline",
     "save_baseline",
     "resolve_mode",

@@ -1,9 +1,9 @@
 """Module-aware call graph over a set of Python sources.
 
-The interprocedural analyses in :mod:`repro.staticcheck` (side-effect
-summaries, the kernel-soundness prover, cross-module lint reasoning) all
-need the same substrate: *who calls whom*, resolved across modules, with
-class inheritance flattened.  This module builds it once per check run:
+The interprocedural analyses in :mod:`repro.staticcheck` (taint
+summaries, the protocol and cache-key provers, cross-module lint
+reasoning) all need the same substrate: *who calls whom*, resolved
+across modules, with class inheritance flattened.  This module builds it once per check run:
 
 :class:`FunctionNode`
     One function, method, property getter, or lambda, addressed by a
@@ -53,6 +53,7 @@ __all__ = [
     "ClassInfo",
     "FunctionNode",
     "ModuleInfo",
+    "RECEIVER_HINTS",
     "build_call_graph",
     "chain_of",
     "module_name_for",
@@ -76,6 +77,30 @@ _GENERIC_METHODS = frozenset(
 _PASSTHROUGH_CALLS = frozenset(
     {"enumerate", "sorted", "list", "tuple", "reversed", "iter", "set"}
 )
+
+#: Receiver-chain terminal segments -> candidate component classes, used
+#: to type the untyped attribute calls inside the simulator's loops
+#: (``net.routers[r].step(...)``, ``ni.step(...)``).  Subclass overrides
+#: are added automatically by the resolver.
+RECEIVER_HINTS: Dict[str, Tuple[str, ...]] = {
+    "routers[]": ("Router",),
+    "router": ("Router",),
+    "nis[]": ("InjectionInterface",),
+    "vcs": ("VirtualChannel",),
+    "ni": ("InjectionInterface",),
+    "ejectors[]": ("EjectionInterface",),
+    "ejector": ("EjectionInterface",),
+    "ejection_links[]": ("Link",),
+    "input_links[]": ("Link",),
+    "links[]": ("Link",),
+    "link": ("Link",),
+    "telemetry": ("TelemetryCollector",),
+    "faults": ("FaultInjector",),
+    "auditor": ("InvariantChecker",),
+    "net": ("Network",),
+    "allocator": ("SwitchAllocator",),
+    "stats": ("NetworkStats",),
+}
 
 
 def module_name_for(path: str) -> str:

@@ -11,8 +11,8 @@ refund — the exact hazard ``Router.purge_front_packet`` handles by
 mirroring switch traversal's per-flit credit return in ``Router.step``).
 
 The analysis is per class: for every class that owns credit machinery
-(it references ``on_credit`` / ``credit_out`` / ``restore`` / a
-``credits`` view), the method table is flattened through the shared
+(it references ``on_credit`` / ``credit_out`` / a ``credits`` view),
+the method table is flattened through the shared
 :mod:`repro.staticcheck.callgraph` — inherited methods resolve across
 modules, overrides win — and two contracts are checked:
 
@@ -20,25 +20,25 @@ modules, overrides win — and two contracts are checked:
     Every buffer **pop site** (``vc.pop(...)``, ``*.fifo.popleft()``)
     must be followed — in execution order within its method, or in every
     in-class caller after the call site — by a **credit-return site**
-    (``on_credit``, ``restore``, a ``send`` on a credit channel, or an
-    increment of a ``credits`` view).  The diagnostic renders the
-    statement path from the pop to the method exit that lacks a refund.
+    (``on_credit``, a ``send`` on a credit channel, or an increment of a
+    ``credits`` view).  The diagnostic renders the statement path from
+    the pop to the method exit that lacks a refund.
 
 ``proto-push-guard``
     Every raw **push site** (``append`` on a ``queue``/``fifo``, a
     decrement of a ``credits`` view) must be dominated by a
     **guard** — a capacity/credit predicate (``can_accept*``,
-    ``has_credit``, ``vc_claimable``, a comparison over a
+    ``has_credit``, ``free_space``, a comparison over a
     credits/free/space expression) appearing as an enclosing test or as
     an earlier early-exit check — either locally or at every in-class
     call site of the containing method.
 
-Buffer primitives themselves (``VirtualChannel.pop``/``push``) live in
-classes with no credit machinery and are exempt: the contract binds the
-layer that owns both the buffer *and* the credit wires.  A deliberate
-exception (e.g. capacity reserved in an earlier cycle) is annotated
-``# proto: allow`` (optionally ``# proto: allow(rule-id)``), mirroring
-the ``# det: allow`` vocabulary.
+Buffer classes without credit machinery (``VirtualChannel``) are
+exempt: the contract binds the layer that owns both the buffer *and*
+the credit wires.  A deliberate exception (e.g. capacity reserved in
+an earlier cycle) is annotated ``# proto: allow`` (optionally
+``# proto: allow(rule-id)``), mirroring the ``# det: allow``
+vocabulary.
 """
 
 from __future__ import annotations
@@ -53,13 +53,12 @@ from repro.staticcheck.diagnostics import CheckReport, Severity
 _ALLOW_RE = re.compile(r"#\s*proto:\s*allow(?:\(([a-z0-9_,\- ]+)\))?")
 
 #: Class-body substrings marking a class as owning credit machinery.
-_CREDIT_MARKERS = ("on_credit", "credit_out", "credits", "restore")
+_CREDIT_MARKERS = ("on_credit", "credit_out", "credits")
 
 #: Guard call names that establish capacity/credit before a push.
 _GUARD_CALLS = frozenset(
     {
         "has_credit",
-        "vc_claimable",
         "can_accept",
         "can_accept_packet",
         "can_accept_flit",
@@ -70,7 +69,7 @@ _GUARD_CALLS = frozenset(
 )
 
 #: Substrings in a compared expression that make it a capacity guard.
-_GUARD_NAME_HINTS = ("credit", "free", "space", "capacity", "claimable")
+_GUARD_NAME_HINTS = ("credit", "free", "space", "capacity")
 
 
 def _attr_chain(node: ast.AST) -> Optional[str]:
@@ -137,7 +136,7 @@ def _is_credit_return(
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
         fn = node.func
         chain = _attr_chain(fn) or fn.attr
-        if fn.attr in ("on_credit", "restore"):
+        if fn.attr == "on_credit":
             return chain
         if fn.attr == "send":
             if "credit" in chain.lower():

@@ -5,9 +5,9 @@ this engine computes where *values* can flow: which parameters (and
 one level of parameter fields) influence the return value, which
 attribute paths are written with which influences, and which external
 source kinds (wallclock, module-level RNG) leak in.  Summaries compose
-to a fixpoint over the strongly connected components of the call graph
-— the same discipline :mod:`repro.staticcheck.effects` uses for
-mutation footprints, applied to information flow.
+to a fixpoint over the strongly connected components of the call graph,
+so a summary covers everything reachable from its function even through
+recursion.
 
 Tokens
 ------
@@ -33,8 +33,7 @@ only when the field is set" from "flows unconditionally".
 
 Annotations
 -----------
-Mirroring the ``# kernel:`` idiom, a ``# taint:`` comment discharges a
-flow where a human proof exists:
+A ``# taint:`` comment discharges a flow where a human proof exists:
 
 ``# taint: sanitize(<pat>, ...)``
     Tokens matching a pattern are dropped from values produced on this
@@ -64,7 +63,6 @@ from repro.staticcheck.callgraph import (
     chain_of,
     final_attr,
 )
-from repro.staticcheck.effects import MUTATOR_METHODS
 
 __all__ = [
     "TaintAnnotations",
@@ -77,6 +75,15 @@ __all__ = [
     "token_matches",
     "token_root",
 ]
+
+#: Container methods that mutate their receiver in place.
+MUTATOR_METHODS = frozenset(
+    {
+        "add", "append", "appendleft", "clear", "discard", "extend",
+        "extendleft", "insert", "pop", "popitem", "popleft", "remove",
+        "reverse", "rotate", "setdefault", "sort", "update",
+    }
+)
 
 #: Call chains that read the host clock.
 WALLCLOCK_CALLS = frozenset(

@@ -35,6 +35,14 @@ def wire_injection(router, port=4):
     return link
 
 
+def exhaust_credits(out):
+    """Spend every downstream credit of ``out``, as switch traversal does."""
+    credits = out.credits
+    for vc in range(len(credits.counts)):
+        credits.counts[vc] = 0
+    credits.total = 0
+
+
 def inject(link, packet, now=0, vc=0):
     """Put a packet's flits on an injection link over consecutive cycles."""
     for i, flit in enumerate(packet.make_flits()):
@@ -101,10 +109,7 @@ class TestCredits:
         router.set_ejection(Link("ej"))
         inj = wire_injection(router)
         # Exhaust all downstream credits on every VC.
-        for port in [router.output_ports[EAST]]:
-            for vc in range(4):
-                for _ in range(9):
-                    port.credits.consume(vc)
+        exhaust_credits(router.output_ports[EAST])
         pkt = Packet(PacketType.READ_REPLY, 0, 3, 2, 0)
         inject(inj, pkt)
         for t in range(1, 10):
@@ -117,9 +122,7 @@ class TestCredits:
         router.set_ejection(Link("ej"))
         inj = wire_injection(router)
         port = router.output_ports[EAST]
-        for vc in range(4):
-            for _ in range(9):
-                port.credits.consume(vc)
+        exhaust_credits(port)
         pkt = Packet(PacketType.READ_REPLY, 0, 3, 2, 0)
         inject(inj, pkt)
         for t in range(1, 6):
@@ -148,9 +151,7 @@ class TestBlockedVAMemo:
         router.set_ejection(Link("ej"))
         inj = wire_injection(router)
         east = router.output_ports[EAST]
-        for vc in range(4):
-            for _ in range(9):
-                east.credits.consume(vc)
+        exhaust_credits(east)
         pkt = self._blocked(router, inj)
         for t in range(1, 6):
             router.step(t)
@@ -217,9 +218,7 @@ class TestBlockedVAMemo:
         router.set_ejection(Link("ej"))
         inj = wire_injection(router)
         east = router.output_ports[EAST]
-        for vc in range(4):
-            for _ in range(9):
-                east.credits.consume(vc)
+        exhaust_credits(east)
         a = self._blocked(router, inj)
         # B (for this router's own node) queues behind A in the same VC.
         b = self._blocked(router, inj, dest=1, now=2)

@@ -5,9 +5,18 @@ import random
 import pytest
 
 from repro.noc import Network, NetworkConfig
+from repro.noc.buffer import VCState
 from repro.noc.flit import Packet, PacketType
 from repro.noc.ni import NIKind
 from repro.noc.validation import InvariantChecker, InvariantViolation
+
+
+def land_head(vc, head, now=0):
+    """Buffer a head flit in an empty VC, as ``Router.step``'s ingest does."""
+    head.vc = vc.index
+    vc.fifo.append(head)
+    vc.wait_since = now
+    vc.state = VCState.ROUTING
 
 
 def loaded_network(routing="xy", ari=False, seed=5, packets=60):
@@ -128,8 +137,8 @@ class TestFailureInjection:
         a = Packet(PacketType.READ_REPLY, 0, 15, 3, 0).make_flits()
         b = Packet(PacketType.READ_REPLY, 1, 15, 3, 0).make_flits()
         vc = net.routers[0].input_ports[4].vcs[0]
-        vc.push(a[0], 0)
-        vc.fifo.append(b[1])  # bypass push() to fake the corruption
+        land_head(vc, a[0])
+        vc.fifo.append(b[1])  # no router ever writes this: fake corruption
         vc.fifo.append(a[1])
         with pytest.raises(InvariantViolation, match="interleaved"):
             InvariantChecker(net).check_no_interleaving()
@@ -139,7 +148,7 @@ class TestFailureInjection:
         a = Packet(PacketType.READ_REPLY, 0, 15, 3, 0).make_flits()
         b = Packet(PacketType.READ_REPLY, 1, 15, 3, 0).make_flits()
         vc = net.routers[0].input_ports[4].vcs[0]
-        vc.push(a[0], 0)
+        land_head(vc, a[0])
         vc.fifo.append(b[0])  # a second head before A's tail
         with pytest.raises(InvariantViolation, match="head of"):
             InvariantChecker(net).check_no_interleaving()

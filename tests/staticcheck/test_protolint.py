@@ -32,6 +32,22 @@ class TestCreditReturn:
         assert "proto-credit-return" in rules_of(report)
         assert "drain" in report.diagnostics[0].message
 
+    def test_restore_call_is_not_a_refund(self):
+        # No class defines ``restore``: a stray call returns no credit.
+        report = lint("""
+            class Router:
+                def __init__(self, out):
+                    self.credit_out = {}
+                    self.fifo = []
+                    self.out = out
+
+                def drain(self, vc):
+                    flit = self.fifo.popleft()
+                    self.out.restore(vc)
+                    return flit
+        """)
+        assert "proto-credit-return" in rules_of(report)
+
     def test_pop_with_refund_accepted(self):
         report = lint("""
             class Router:
@@ -140,6 +156,20 @@ class TestPushGuard:
                         self.fifo.append(flit)
         """)
         assert "proto-push-guard" not in rules_of(report)
+
+    def test_vc_claimable_call_is_not_a_guard(self):
+        # ``vc_claimable`` no longer exists: calling it guards nothing.
+        report = lint("""
+            class Injector:
+                def __init__(self):
+                    self.credits = {}
+                    self.fifo = []
+
+                def inject(self, flit, port):
+                    if self.vc_claimable(port):
+                        self.fifo.append(flit)
+        """)
+        assert "proto-push-guard" in rules_of(report)
 
     def test_early_exit_guard_accepted(self):
         report = lint("""

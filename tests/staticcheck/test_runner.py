@@ -41,8 +41,8 @@ class TestRuleCatalog:
         assert not set(model) & set(code)
         assert all(
             r.startswith(
-                ("det-", "unit-", "proto-", "pool-", "kernel-",
-                 "cachekey-", "overhead-")
+                ("det-", "unit-", "proto-", "pool-", "cachekey-",
+                 "overhead-")
             )
             for r in code
         )
@@ -55,14 +55,6 @@ class TestRuleCatalog:
             "proto-push-guard",
             "pool-global-write",
             "pool-capture",
-        } <= code
-
-    def test_kernel_rules_registered(self):
-        code = set(rule_ids("code"))
-        assert {
-            "kernel-skip-unsound",
-            "kernel-wake-unscheduled",
-            "kernel-state-untracked",
         } <= code
 
     def test_rule_ids_default_is_everything(self):

@@ -9,9 +9,8 @@ from repro.staticcheck.cachelint import (
     find_spec_classes,
     lint_source,
 )
-from repro.staticcheck.callgraph import build_call_graph
+from repro.staticcheck.callgraph import RECEIVER_HINTS, build_call_graph
 from repro.staticcheck.diagnostics import Severity
-from repro.staticcheck.kernellint import RECEIVER_HINTS
 from repro.staticcheck.taint import (
     TaintAnnotations,
     TaintEngine,

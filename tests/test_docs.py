@@ -105,3 +105,36 @@ class TestSchemeDocSync:
         combined = read("README.md") + read("DESIGN.md")
         for sch in ["xy-baseline", "ada-ari", "ada-multiport", "da2mesh"]:
             assert sch.replace("-", "") in combined.replace("-", "").lower()
+
+
+class TestStaticcheckDocSync:
+    RETIRED = (
+        "kernel-skip-unsound",
+        "kernel-wake-unscheduled",
+        "kernel-state-untracked",
+        "# kernel:",
+    )
+
+    def test_every_rule_documented(self):
+        from repro.staticcheck import RULES
+
+        text = read("docs/staticcheck.md")
+        missing = [rid for rid in RULES if f"`{rid}`" not in text]
+        assert not missing, f"docs/staticcheck.md lacks {missing}"
+
+    def test_retired_kernel_rules_absent(self):
+        hits = []
+        for top in ("src", "docs"):
+            for root, _dirs, files in os.walk(os.path.join(REPO, top)):
+                for name in files:
+                    if not name.endswith((".py", ".md")):
+                        continue
+                    path = os.path.join(root, name)
+                    with open(path, encoding="utf-8") as fh:
+                        text = fh.read()
+                    hits += [
+                        (os.path.relpath(path, REPO), token)
+                        for token in self.RETIRED
+                        if token in text
+                    ]
+        assert not hits

@@ -115,6 +115,56 @@ def test_pipeline_digest(name, kernel):
     assert compute_digest(name, kernel) == _load_golden()[name]
 
 
+# -- the corpus catches broken activity schedules ----------------------------
+# Both kernels step the same Router.step, so a kernel that skips a visit
+# it owes is invisible to any comparison of the methods they call; only
+# the payload shows it.  Each test below breaks the activity kernel's
+# schedule the way a real defect would and checks the digest moves.
+
+
+def _patch_bind(monkeypatch, after):
+    from repro.noc.kernel import ActivityKernel
+
+    bind = ActivityKernel.bind
+
+    def patched(self, net):
+        bind(self, net)
+        after(self)
+
+    monkeypatch.setattr(ActivityKernel, "bind", patched)
+
+
+def test_lost_neighbour_wakeups_change_the_digest(monkeypatch):
+    # A router that switched flits no longer wakes its mesh neighbours,
+    # so they miss the cycle the flits land on.
+    def no_neighbours(kernel):
+        kernel._neighbors = [() for _ in kernel._neighbors]
+
+    _patch_bind(monkeypatch, no_neighbours)
+    name = "net/uniform/xy/enhanced"
+    assert compute_digest(name, "activity") != _load_golden()[name]
+
+
+class _ForgetfulStalls(dict):
+    """A stall table whose ``pop`` never reports the stall cycle."""
+
+    def pop(self, key, default=None):
+        dict.pop(self, key, default)
+        return default
+
+
+def test_skipped_va_pointer_catch_up_changes_the_digest(monkeypatch):
+    # A router waking from a proven stall keeps the VA round-robin
+    # pointer it slept with instead of the one the reference kernel's
+    # per-cycle rotation would have reached.
+    def forget_stalls(kernel):
+        kernel._stalled = _ForgetfulStalls()
+
+    _patch_bind(monkeypatch, forget_stalls)
+    name = "sys/xy-baseline/bfs"
+    assert compute_digest(name, "activity") != _load_golden()[name]
+
+
 if __name__ == "__main__":
     digests = {name: compute_digest(name, "reference") for name in case_names()}
     os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
